@@ -17,19 +17,34 @@ use crate::control::{Controller, LevelsUpdate};
 use altroute_telemetry::feed::{parse_line, FeedLine};
 use altroute_telemetry::serve::MetricsServer;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
+use std::time::Duration;
 
 /// How often (in accepted lines) the HTTP plane is refreshed between
 /// level updates, so `/status` freshness tracks a quiet feed too.
 const PUBLISH_EVERY_LINES: u64 = 1024;
+
+/// The longest feed line, newline included, that the daemon buffers.
+/// Protocol lines are a few dozen bytes; a longer line is skipped
+/// through its next newline and counted as a parse error, so a client
+/// that never sends a newline cannot grow the daemon's memory.
+pub const MAX_FEED_LINE_BYTES: usize = 4096;
+
+/// How long a feed connection may send nothing before the daemon drops
+/// it and accepts the next one. Connections are served one at a time,
+/// so without this one stalled client would block every later one.
+/// Estimates persist across connections, so a producer that idles past
+/// the timeout just reconnects with a fresh header.
+pub const FEED_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// End-of-stream accounting for one feed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FeedSummary {
     /// Total lines read (including blanks and comments).
     pub lines: u64,
-    /// Lines that failed to parse (skipped and counted).
+    /// Lines that failed to parse or exceeded [`MAX_FEED_LINE_BYTES`]
+    /// (skipped and counted).
     pub parse_errors: u64,
     /// Well-formed records the controller rejected (out-of-range node,
     /// regressed time; skipped and counted).
@@ -121,6 +136,62 @@ fn publish(controller: &Controller, summary: &FeedSummary, server: Option<&Metri
     server.publish_metrics(prometheus(controller, summary));
 }
 
+/// One line of a feed stream, as read by [`LineReader`].
+enum RawLine<'a> {
+    /// A complete line, its `\n` or `\r\n` terminator stripped.
+    Line(&'a str),
+    /// A line longer than [`MAX_FEED_LINE_BYTES`], already skipped.
+    TooLong,
+}
+
+/// Reads feed lines into one reused buffer that never holds more than
+/// [`MAX_FEED_LINE_BYTES`]. Lines are read as bytes and checked as UTF-8
+/// only once complete, so the cap can never split a multi-byte character
+/// into a spurious encoding error.
+struct LineReader {
+    buf: Vec<u8>,
+}
+
+impl LineReader {
+    fn new() -> Self {
+        // Reserved up front: a read appends at most the cap, so the
+        // buffer never reallocates past it.
+        Self {
+            buf: Vec::with_capacity(MAX_FEED_LINE_BYTES),
+        }
+    }
+
+    /// The next line of `input`, or `None` at end of stream. Invalid
+    /// UTF-8 is an [`io::ErrorKind::InvalidData`] error, as with
+    /// [`BufRead::lines`].
+    fn next<'a, I: BufRead>(&'a mut self, input: &mut I) -> io::Result<Option<RawLine<'a>>> {
+        self.buf.clear();
+        let n = input
+            .by_ref()
+            .take(MAX_FEED_LINE_BYTES as u64)
+            .read_until(b'\n', &mut self.buf)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        } else if n == MAX_FEED_LINE_BYTES {
+            input.skip_until(b'\n')?;
+            return Ok(Some(RawLine::TooLong));
+        }
+        match std::str::from_utf8(&self.buf) {
+            Ok(line) => Ok(Some(RawLine::Line(line))),
+            Err(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )),
+        }
+    }
+}
+
 /// Drives one feed stream through `controller`.
 ///
 /// Protocol errors that poison the whole stream — a missing or
@@ -128,21 +199,26 @@ fn publish(controller: &Controller, summary: &FeedSummary, server: Option<&Metri
 /// they mean the producer and the daemon disagree about *which network*
 /// is being controlled, and silently estimating over the wrong pair
 /// space would push garbage levels. Everything line-local is skipped
-/// and counted. Reaching EOF without an `end` record is not an error
-/// (the producer may simply have died); the summary says which it was.
+/// and counted, including lines longer than [`MAX_FEED_LINE_BYTES`].
+/// Reaching EOF without an `end` record is not an error (the producer
+/// may simply have died); the summary says which it was.
 pub fn run_feed<I: BufRead, W: Write>(
     controller: &mut Controller,
-    input: I,
+    mut input: I,
     updates_out: &mut W,
     server: Option<&MetricsServer>,
 ) -> io::Result<FeedSummary> {
     let mut summary = FeedSummary::default();
     let mut saw_header = false;
     let mut pending = Vec::new();
-    for line in input.lines() {
-        let line = line?;
+    let mut reader = LineReader::new();
+    while let Some(raw) = reader.next(&mut input)? {
         summary.lines += 1;
-        match parse_line(&line) {
+        let parsed = match raw {
+            RawLine::Line(line) => parse_line(line).map_err(drop),
+            RawLine::TooLong => Err(()),
+        };
+        match parsed {
             Ok(FeedLine::Blank) => {}
             Ok(FeedLine::Header(h)) => {
                 if h.nodes != controller.plane().nodes {
@@ -178,7 +254,7 @@ pub fn run_feed<I: BufRead, W: Write>(
                     break;
                 }
             }
-            Err(_e) => summary.parse_errors += 1,
+            Err(()) => summary.parse_errors += 1,
         }
         if summary.lines % PUBLISH_EVERY_LINES == 0 {
             publish(controller, &summary, server);
@@ -195,7 +271,8 @@ pub fn run_feed<I: BufRead, W: Write>(
 /// its own header. `max_conns` bounds the number of connections served
 /// (`None` = forever); per-connection I/O errors and protocol errors
 /// are reported on the summary stream (`log`) and do not stop the
-/// accept loop.
+/// accept loop. A connection silent for [`FEED_READ_TIMEOUT`] fails
+/// with a timeout error, so a stalled client cannot wedge the loop.
 pub fn serve_listener<W: Write, L: Write>(
     listener: &TcpListener,
     controller: &mut Controller,
@@ -204,11 +281,36 @@ pub fn serve_listener<W: Write, L: Write>(
     server: Option<&MetricsServer>,
     max_conns: Option<u64>,
 ) -> io::Result<()> {
+    serve_with_timeout(
+        listener,
+        controller,
+        updates_out,
+        log,
+        server,
+        max_conns,
+        FEED_READ_TIMEOUT,
+    )
+}
+
+/// [`serve_listener`] with the per-connection read timeout as a value,
+/// so tests can exercise it without waiting out the real one.
+fn serve_with_timeout<W: Write, L: Write>(
+    listener: &TcpListener,
+    controller: &mut Controller,
+    updates_out: &mut W,
+    log: &mut L,
+    server: Option<&MetricsServer>,
+    max_conns: Option<u64>,
+    read_timeout: Duration,
+) -> io::Result<()> {
     let mut served = 0u64;
     while max_conns.is_none_or(|m| served < m) {
         let (stream, peer) = listener.accept()?;
         served += 1;
-        match run_feed(controller, BufReader::new(stream), updates_out, server) {
+        let fed = stream
+            .set_read_timeout(Some(read_timeout))
+            .and_then(|()| run_feed(controller, BufReader::new(stream), updates_out, server));
+        match fed {
             Ok(summary) => {
                 let _ = writeln!(
                     log,
@@ -322,6 +424,70 @@ mod tests {
         )
         .expect_err("record before header");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn an_over_long_line_is_skipped_and_counted_within_the_cap() {
+        // A 16 MiB newline-free run between the header and the records.
+        let flood = || io::repeat(b'x').take(16 << 20);
+        let (header, records) = RAMP.split_once('\n').unwrap();
+        let feed = || {
+            let head = io::Cursor::new(format!("{header}\n"));
+            let tail = io::Cursor::new(format!("\n{records}"));
+            BufReader::new(head.chain(flood()).chain(tail))
+        };
+        let mut c = tiny_controller();
+        let mut out = Vec::new();
+        let summary = run_feed(&mut c, feed(), &mut out, None).expect("must survive");
+        assert_eq!(summary.parse_errors, 1, "the flood is one skipped line");
+        assert!(summary.ended);
+        assert_eq!(c.arrivals(), 18, "every record after the flood counted");
+
+        let mut input = feed();
+        let mut reader = LineReader::new();
+        let mut too_long = 0;
+        while let Some(raw) = reader.next(&mut input).expect("valid UTF-8") {
+            if let RawLine::TooLong = raw {
+                too_long += 1;
+            }
+            assert!(reader.buf.capacity() <= MAX_FEED_LINE_BYTES);
+        }
+        assert_eq!(too_long, 1);
+    }
+
+    #[test]
+    fn a_stalled_client_does_not_block_the_next_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        // Both connect before the daemon accepts: the stalled one first
+        // (header, then silence), the good one queued behind it.
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled
+            .write_all(b"altroute-feed v1 nodes=2\n")
+            .expect("write header");
+        let mut good = TcpStream::connect(addr).expect("connect");
+        good.write_all(RAMP.as_bytes()).expect("write feed");
+        good.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let mut controller = tiny_controller();
+        let mut updates = Vec::new();
+        let mut log = Vec::new();
+        serve_with_timeout(
+            &listener,
+            &mut controller,
+            &mut updates,
+            &mut log,
+            None,
+            Some(2),
+            Duration::from_millis(200),
+        )
+        .expect("serve both connections");
+        drop(stalled);
+        let log = String::from_utf8(log).unwrap();
+        assert!(log.contains("failed"), "the stalled feed times out: {log}");
+        assert!(log.contains("18 arrivals"), "{log}");
+        assert_eq!(controller.arrivals(), 18);
+        assert!(!updates.is_empty(), "the second client was served");
     }
 
     #[test]

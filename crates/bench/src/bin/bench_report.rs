@@ -5,9 +5,8 @@
 //! [`KernelScratch`]) and once on the `BinaryHeap` reference backend
 //! (`run_seed_reference`) — asserts the results are byte-identical, and
 //! writes `BENCH_kernel.json` with wall-clock, events/sec, peak RSS, and
-//! the calendar/reference speedup per workload. Two non-engine sections
-//! ride along: the shard-scaling curve and a `path_enumeration` row
-//! timing the lazy `PathStore`'s incremental invalidation against full
+//! the calendar/reference speedup per workload. A non-engine
+//! `path_enumeration` row rides along, timing the lazy `PathStore`'s incremental invalidation against full
 //! re-enumeration after a single-link failure on a power-law mesh.
 //!
 //! The committed `BENCH_kernel.json` at the repo root is the baseline
@@ -34,13 +33,9 @@ use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::store::PathStore;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{
-    run_seed_pooled, run_seed_reference, run_seed_sharded_pooled, RunConfig, SeedResult,
-};
+use altroute_sim::engine::{run_seed_pooled, run_seed_reference, RunConfig, SeedResult};
 use altroute_sim::failures::FailureSchedule;
 use altroute_simcore::kernel::KernelScratch;
-use altroute_simcore::pool::default_workers;
-use altroute_simcore::shard::{Partition, ShardSpec};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -317,99 +312,6 @@ fn measure(workload: &Workload, reps: usize, scratch: &mut KernelScratch) -> Mea
     }
 }
 
-/// The multi-core scaling workload: a disconnected 8-cluster mesh with
-/// cluster-contiguous link ids and intra-cluster traffic only, so a
-/// contiguous partition gives every shard an independent sub-network —
-/// the embarrassingly parallel best case for the sharded backend.
-fn shard_scaling_spec(horizon: f64) -> Spec {
-    let clusters = 8;
-    let size = 4;
-    let topo = topologies::clustered_mesh(clusters, size, 50);
-    let n = clusters * size;
-    let traffic = TrafficMatrix::from_fn(n, |i, j| {
-        if i != j && i / size == j / size {
-            16.0
-        } else {
-            0.0
-        }
-    });
-    Spec {
-        plan: RoutingPlan::min_hop(topo, &traffic, 2),
-        policy: PolicyKind::ControlledAlternate { max_hops: 2 },
-        traffic,
-        failures: FailureSchedule::none(),
-        warmup: 2.0,
-        horizon,
-        seed: 0x005C_A1E5,
-    }
-}
-
-/// Shard counts the scaling curve samples.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct ShardScaling {
-    description: &'static str,
-    cores: usize,
-    events: u64,
-    serial_secs: f64,
-    /// `(num_shards, best wall seconds)` per sampled shard count.
-    curve: Vec<(usize, f64)>,
-}
-
-/// Times the serial kernel and the sharded backend at each shard count
-/// on the clustered-mesh workload, after an untimed pass asserting the
-/// sharded results are byte-identical to the serial oracle. Wall times
-/// are best-of-`reps`; the speedups this yields are machine-dependent
-/// (on a single-core machine the sharded backend can only add thread
-/// overhead — the `cores` field records what the curve ran on).
-fn measure_shard_scaling(spec: &Spec, reps: usize, scratch: &mut KernelScratch) -> ShardScaling {
-    let num_links = spec.plan.topology().num_links();
-    let oracle = run_seed_pooled(&spec.config(), scratch);
-    let specs: Vec<ShardSpec> = SHARD_COUNTS
-        .iter()
-        .map(|&s| ShardSpec::new(num_links, s, Partition::Contiguous))
-        .collect();
-    for (shard_spec, &s) in specs.iter().zip(&SHARD_COUNTS) {
-        let sharded = run_seed_sharded_pooled(&spec.config(), shard_spec, scratch);
-        assert_eq!(
-            oracle, sharded,
-            "shard_scaling: {s} shards diverged from the serial oracle"
-        );
-    }
-
-    let mut serial_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box::<SeedResult>(run_seed_pooled(&spec.config(), scratch));
-        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-    }
-    let curve = specs
-        .iter()
-        .zip(&SHARD_COUNTS)
-        .map(|(shard_spec, &s)| {
-            let mut wall = f64::INFINITY;
-            for _ in 0..reps {
-                let t = Instant::now();
-                black_box::<SeedResult>(run_seed_sharded_pooled(
-                    &spec.config(),
-                    shard_spec,
-                    scratch,
-                ));
-                wall = wall.min(t.elapsed().as_secs_f64());
-            }
-            (s, wall)
-        })
-        .collect();
-    ShardScaling {
-        description:
-            "clustered_mesh(8, 4, C=50), intra-cluster 16 Erlang/pair, contiguous partition",
-        cores: default_workers(),
-        events: oracle.metrics.events_processed,
-        serial_secs,
-        curve,
-    }
-}
-
 struct PathEnumeration {
     description: &'static str,
     nodes: usize,
@@ -526,12 +428,7 @@ fn peak_rss_bytes() -> u64 {
 
 const SCHEMA: &str = "altroute-bench-kernel/v3";
 
-fn report(
-    measurements: &[Measurement],
-    scaling: &ShardScaling,
-    path_enum: &PathEnumeration,
-    quick: bool,
-) -> Value {
+fn report(measurements: &[Measurement], path_enum: &PathEnumeration, quick: bool) -> Value {
     let workloads: Vec<Value> = measurements
         .iter()
         .map(|m| {
@@ -554,33 +451,10 @@ fn report(
             }
         })
         .collect();
-    let curve: Vec<Value> = scaling
-        .curve
-        .iter()
-        .map(|&(shards, wall)| {
-            obj! {
-                "shards" => shards as f64,
-                "wall_secs" => wall,
-                "events_per_sec" => scaling.events as f64 / wall,
-                "speedup_vs_serial" => scaling.serial_secs / wall,
-            }
-        })
-        .collect();
     obj! {
         "schema" => SCHEMA,
         "quick" => quick,
         "workloads" => Value::Array(workloads),
-        "shard_scaling" => obj! {
-            "workload" => "clustered_mesh_8x4",
-            "description" => scaling.description,
-            "cores" => scaling.cores as f64,
-            "events" => scaling.events as f64,
-            "serial" => obj! {
-                "wall_secs" => scaling.serial_secs,
-                "events_per_sec" => scaling.events as f64 / scaling.serial_secs,
-            },
-            "curve" => Value::Array(curve),
-        },
         "path_enumeration" => obj! {
             "description" => path_enum.description,
             "nodes" => path_enum.nodes as f64,
@@ -652,58 +526,6 @@ fn validate(value: &Value) -> Vec<String> {
                 }
             }
         }
-    }
-    let Some(scaling) = value.get("shard_scaling") else {
-        problems.push("missing object field `shard_scaling`".to_string());
-        return problems;
-    };
-    for field in ["workload", "description"] {
-        if scaling.get(field).and_then(Value::as_str).is_none() {
-            problems.push(format!("shard_scaling: missing string field `{field}`"));
-        }
-    }
-    for field in ["cores", "events"] {
-        match scaling.get(field).and_then(Value::as_f64) {
-            Some(x) if x > 0.0 && x.is_finite() => {}
-            Some(x) => problems.push(format!(
-                "shard_scaling: `{field}` = {x} is not positive and finite"
-            )),
-            None => problems.push(format!("shard_scaling: missing numeric field `{field}`")),
-        }
-    }
-    for field in ["wall_secs", "events_per_sec"] {
-        match scaling
-            .get("serial")
-            .and_then(|s| s.get(field))
-            .and_then(Value::as_f64)
-        {
-            Some(x) if x > 0.0 && x.is_finite() => {}
-            Some(x) => problems.push(format!(
-                "shard_scaling: `serial.{field}` = {x} is not positive and finite"
-            )),
-            None => problems.push(format!(
-                "shard_scaling: missing numeric field `serial.{field}`"
-            )),
-        }
-    }
-    match scaling.get("curve").and_then(Value::as_array) {
-        Some(curve) if !curve.is_empty() => {
-            for (i, point) in curve.iter().enumerate() {
-                for field in ["shards", "wall_secs", "events_per_sec", "speedup_vs_serial"] {
-                    match point.get(field).and_then(Value::as_f64) {
-                        Some(x) if x > 0.0 && x.is_finite() => {}
-                        Some(x) => problems.push(format!(
-                            "shard_scaling curve[{i}]: `{field}` = {x} is not positive and finite"
-                        )),
-                        None => problems.push(format!(
-                            "shard_scaling curve[{i}]: missing numeric field `{field}`"
-                        )),
-                    }
-                }
-            }
-        }
-        Some(_) => problems.push("shard_scaling: `curve` is empty".to_string()),
-        None => problems.push("shard_scaling: missing array field `curve`".to_string()),
     }
     let Some(path_enum) = value.get("path_enumeration") else {
         problems.push("missing object field `path_enumeration`".to_string());
@@ -796,72 +618,6 @@ fn gate(baseline: &Value, fresh: &Value, tolerance: f64) -> Result<Vec<String>, 
             lines.push(line);
         }
     }
-    // Shard-scaling gate. Throughput at each shard count is regression-
-    // gated against the baseline like any workload. The acceptance bar —
-    // at least 2x events/sec at 4 shards — is a property of the backend
-    // *given parallel hardware*, so it is enforced only when the fresh
-    // report ran on 4 or more cores; on smaller machines the curve is
-    // recorded but the absolute bar is explicitly skipped.
-    let cores = fresh
-        .get("shard_scaling")
-        .and_then(|s| s.get("cores"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
-    let curve_points = |v: &Value| -> Vec<(u64, f64, f64)> {
-        v.get("shard_scaling")
-            .and_then(|s| s.get("curve"))
-            .and_then(Value::as_array)
-            .map(|curve| {
-                curve
-                    .iter()
-                    .filter_map(|p| {
-                        Some((
-                            p.get("shards").and_then(Value::as_f64)? as u64,
-                            p.get("events_per_sec").and_then(Value::as_f64)?,
-                            p.get("speedup_vs_serial").and_then(Value::as_f64)?,
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let fresh_curve = curve_points(fresh);
-    for (shards, base_eps, _) in curve_points(baseline) {
-        let Some(&(_, now_eps, _)) = fresh_curve.iter().find(|&&(s, _, _)| s == shards) else {
-            lines.push(format!(
-                "shard_scaling@{shards}: in baseline but not in fresh report (skipped)"
-            ));
-            continue;
-        };
-        let ratio = now_eps / base_eps;
-        let line = format!(
-            "shard_scaling@{shards}: {base_eps:.0} -> {now_eps:.0} events/sec ({:+.1}%)",
-            (ratio - 1.0) * 100.0
-        );
-        if ratio < 1.0 - tolerance {
-            failures.push(format!(
-                "{line} — regressed past the {:.0}% tolerance",
-                tolerance * 100.0
-            ));
-        } else {
-            lines.push(line);
-        }
-    }
-    match fresh_curve.iter().find(|&&(s, _, _)| s == 4) {
-        Some(&(_, _, speedup)) if cores >= 4.0 => {
-            let line = format!("shard_scaling@4: speedup {speedup:.2}x on {cores:.0} cores");
-            if speedup < 2.0 {
-                failures.push(format!("{line} — below the 2x acceptance bar"));
-            } else {
-                lines.push(line);
-            }
-        }
-        Some(&(_, _, speedup)) => lines.push(format!(
-            "shard_scaling@4: speedup {speedup:.2}x on {cores:.0} core(s) — \
-             2x bar needs >= 4 cores, skipped"
-        )),
-        None => lines.push("shard_scaling@4: no 4-shard point in fresh report".to_string()),
-    }
     // Path-enumeration gate. The speedup is a within-run ratio (full vs
     // incremental on the same machine), so unlike raw events/sec it is
     // stable across hardware — the acceptance bar (incremental recompute
@@ -892,10 +648,10 @@ fn gate(baseline: &Value, fresh: &Value, tolerance: f64) -> Result<Vec<String>, 
 }
 
 fn run_benchmarks(quick: bool, out: &str) -> ExitCode {
-    let (churn_h, quad_h, nsf_h, meta_h, mesh_h, scaling_h, reps) = if quick {
-        (60.0, 40.0, 6.0, 2.0, 6.0, 8.0, 1)
+    let (churn_h, quad_h, nsf_h, meta_h, mesh_h, reps) = if quick {
+        (60.0, 40.0, 6.0, 2.0, 6.0, 1)
     } else {
-        (400.0, 300.0, 25.0, 20.0, 30.0, 400.0, 3)
+        (400.0, 300.0, 25.0, 20.0, 30.0, 3)
     };
     let (pe_nodes, pe_pairs) = if quick { (240, 800) } else { (1000, 4000) };
     let workloads = [
@@ -921,24 +677,6 @@ fn run_benchmarks(quick: bool, out: &str) -> ExitCode {
         );
         measurements.push(m);
     }
-    let scaling_spec = shard_scaling_spec(scaling_h);
-    eprintln!(
-        "running shard_scaling (clustered mesh, {:?} shards)...",
-        SHARD_COUNTS
-    );
-    let scaling = measure_shard_scaling(&scaling_spec, reps, &mut scratch);
-    eprintln!(
-        "  {} events on {} core(s) | serial {:.3}s",
-        scaling.events, scaling.cores, scaling.serial_secs
-    );
-    for &(shards, wall) in &scaling.curve {
-        eprintln!(
-            "  {shards} shard(s): {:.3}s ({:.0} ev/s, {:.2}x vs serial)",
-            wall,
-            scaling.events as f64 / wall,
-            scaling.serial_secs / wall,
-        );
-    }
     eprintln!("running path_enumeration (power_law_mesh({pe_nodes}), {pe_pairs} pairs)...");
     let path_enum = measure_path_enumeration(pe_nodes, pe_pairs, reps);
     eprintln!(
@@ -949,7 +687,7 @@ fn run_benchmarks(quick: bool, out: &str) -> ExitCode {
         path_enum.demand_pairs,
         path_enum.speedup(),
     );
-    let value = report(&measurements, &scaling, &path_enum, quick);
+    let value = report(&measurements, &path_enum, quick);
     debug_assert!(
         validate(&value).is_empty(),
         "emitted report fails own schema"

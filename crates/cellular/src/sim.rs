@@ -20,10 +20,9 @@ use crate::grid::CellGrid;
 use crate::policy::{cell_protection_levels, BorrowPolicy};
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkOccupancy,
-    NullObserver, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+    RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
 };
 use altroute_simcore::pool::{default_workers, pool_run_with};
-use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 
@@ -104,7 +103,6 @@ impl BorrowTables {
 /// The borrowing route selector: local channel first (primary tier),
 /// then each neighbour's co-cell set in ascending id order (alternate
 /// tier), admission-checked cell by cell.
-#[derive(Clone, Copy)]
 struct BorrowSelector<'p> {
     grid: &'p CellGrid,
     tables: &'p BorrowTables,
@@ -112,13 +110,6 @@ struct BorrowSelector<'p> {
 }
 
 impl<'p> RouteSelector<'p> for BorrowSelector<'p> {
-    /// Stateless and a pure function of the arriving cell and the
-    /// occupancy view of its footprint (own cell plus every lender's
-    /// co-cell set) — safe for the sharded backend.
-    fn shardable(&self) -> bool {
-        true
-    }
-
     fn select<A: AdmissionPolicy>(
         &mut self,
         src: usize,
@@ -424,92 +415,6 @@ fn run_one<R: Recorder>(
     (outcome.offered, outcome.blocked, outcome.carried_alternate)
 }
 
-/// As [`run_cellular`], but parallelizing *within* each replication:
-/// seeds run sequentially and each replication executes on the sharded
-/// kernel backend with cells ("links") contiguously partitioned over
-/// `num_shards` worker threads (statistics only — no recorder, which
-/// would force the serial fallback).
-///
-/// A cell's footprint is its own channel pool plus every neighbour
-/// lender's 3-cell co-cell set, so on a row-partitioned grid most
-/// cells are shard-local and only the partition-boundary rows route
-/// through the coordinator. Required to be bit-identical to
-/// [`run_cellular`] for every shard count.
-///
-/// # Panics
-///
-/// As [`run_cellular`]; additionally if `num_shards == 0`.
-pub fn run_cellular_sharded(
-    grid: &CellGrid,
-    loads: &[f64],
-    policy: BorrowPolicy,
-    params: &CellularParams,
-    num_shards: usize,
-) -> CellularResult {
-    validate(grid, loads, params);
-    let protection = cell_protection_levels(loads, grid.capacity());
-    let tables = BorrowTables::new(grid);
-    let shards = ShardSpec::new(grid.num_cells(), num_shards, Partition::Contiguous);
-    // One footprint per loaded cell, in the source order build_parts
-    // emits: the cell itself plus every lender's co-cell set.
-    let footprints: Vec<Vec<usize>> = loads
-        .iter()
-        .enumerate()
-        .filter(|&(_, &load)| load > 0.0)
-        .map(|(cell, _)| {
-            let mut fp = vec![cell];
-            for &lender in grid.neighbors(cell) {
-                fp.extend_from_slice(&tables.sets[lender]);
-            }
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect();
-    let mut scratch = KernelScratch::new();
-    let per_seed: Vec<(u64, u64, u64)> = (0..params.seeds as usize)
-        .map(|i| {
-            let seed = params.base_seed + i as u64;
-            let (capacities, sources, config) = build_parts(grid, loads, params, seed);
-            let spec = KernelSpec {
-                config,
-                capacities: &capacities,
-                static_down: &[],
-                sources: &sources,
-                link_events: &[],
-                initial_occupancy: &[],
-            };
-            let mut selector = BorrowSelector {
-                grid,
-                tables: &tables,
-                borrowing: policy != BorrowPolicy::NoBorrowing,
-            };
-            let outcome = match policy {
-                BorrowPolicy::Controlled => shard::run_sharded(
-                    &spec,
-                    &shards,
-                    &footprints,
-                    &mut TrunkReservation::new(protection.clone()),
-                    &mut selector,
-                    &mut NullObserver,
-                    &mut scratch,
-                ),
-                BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => shard::run_sharded(
-                    &spec,
-                    &shards,
-                    &footprints,
-                    &mut Uncontrolled,
-                    &mut selector,
-                    &mut NullObserver,
-                    &mut scratch,
-                ),
-            };
-            (outcome.offered, outcome.blocked, outcome.carried_alternate)
-        })
-        .collect();
-    summarize(policy, per_seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,32 +467,6 @@ mod tests {
         let b = run_cellular_with_workers(&grid, &loads, BorrowPolicy::Controlled, &quick(), 4);
         assert_eq!(a.per_seed, b.per_seed);
         assert_eq!(a.blocking, b.blocking);
-    }
-
-    #[test]
-    fn sharded_cellular_matches_pooled_at_every_shard_count() {
-        // Row-partitioned grid: interior rows are shard-local, the
-        // boundary rows cross shards and go through the coordinator.
-        // Results must be bit-identical either way, for every policy.
-        let grid = CellGrid::new(4, 4, 15);
-        let mut loads = vec![11.0; 16];
-        loads[2] = 0.0; // a silent cell keeps source/cell indices distinct
-        let params = quick();
-        for policy in [
-            BorrowPolicy::NoBorrowing,
-            BorrowPolicy::Uncontrolled,
-            BorrowPolicy::Controlled,
-        ] {
-            let serial = run_cellular_with_workers(&grid, &loads, policy, &params, 1);
-            for num_shards in [1, 2, 4, 8] {
-                let sharded = run_cellular_sharded(&grid, &loads, policy, &params, num_shards);
-                assert_eq!(
-                    serial.per_seed, sharded.per_seed,
-                    "{policy:?} at {num_shards} shards"
-                );
-                assert_eq!(serial.blocking, sharded.blocking);
-            }
-        }
     }
 
     #[test]

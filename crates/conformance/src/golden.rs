@@ -18,15 +18,12 @@ use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{
-    run_seed_pooled, run_seed_recorded, run_seed_sharded_pooled, run_seed_sharded_recorded,
-    run_seed_sharded_traced, run_seed_traced, run_seed_warm, run_seed_warm_sharded, RunConfig,
-    SeedResult,
+    run_seed_pooled, run_seed_recorded, run_seed_traced, run_seed_warm, RunConfig, SeedResult,
 };
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{diff_traces, BinaryTraceWriter, TraceDiff};
 use altroute_simcore::kernel::KernelScratch;
 use altroute_simcore::pool::pool_run_with;
-use altroute_simcore::shard::{Partition, ShardSpec};
 use altroute_telemetry::RunTelemetry;
 use std::path::PathBuf;
 
@@ -221,9 +218,7 @@ fn scenario_fill(s: &Scenario, fill_percent: u32) -> Vec<u32> {
 /// As [`scenario_replications`] on one worker, but through the
 /// warm-start entry with every link pre-filled to `fill_percent` of
 /// capacity — the warm-start parity harness. At `fill_percent = 0` the
-/// results must be byte-identical to the cold oracle; at any fill, the
-/// sharded counterpart
-/// ([`scenario_replications_warm_sharded`]) must match this serial one.
+/// results must be byte-identical to the cold oracle.
 ///
 /// # Panics
 ///
@@ -249,121 +244,8 @@ pub fn scenario_replications_warm(name: &str, seeds: u32, fill_percent: u32) -> 
         .collect()
 }
 
-/// As [`scenario_replications_warm`], but through the sharded kernel
-/// entry. A non-empty warm start forces the serial fallback inside the
-/// sharded entry, so every `(num_shards, partition)` pair must still be
-/// byte-identical to the serial warm oracle.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an invalid shard spec.
-pub fn scenario_replications_warm_sharded(
-    name: &str,
-    seeds: u32,
-    fill_percent: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<SeedResult> {
-    let s = scenario(name);
-    let initial = scenario_fill(&s, fill_percent);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
-    (0..seeds)
-        .map(|i| {
-            run_seed_warm_sharded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &initial,
-                &spec,
-            )
-        })
-        .collect()
-}
-
-/// As [`record_scenario`] (nominal), but recorded through the sharded
-/// kernel entry with `num_shards` shards. A trace sink observes every
-/// event, which forces the serial fallback, so the bytes must match the
-/// checked-in golden trace exactly — this pins the sharded plumbing
-/// (footprint computation, spec validation, fallback detection) to the
-/// golden contract.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an invalid shard spec.
-pub fn record_scenario_sharded(name: &str, num_shards: usize) -> Vec<u8> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(
-        s.plan.topology().num_links(),
-        num_shards,
-        Partition::Contiguous,
-    );
-    let mut writer = BinaryTraceWriter::new(s.seed, name);
-    run_seed_sharded_traced(
-        &RunConfig {
-            plan: &s.plan,
-            policy: s.policy,
-            traffic: &s.traffic,
-            warmup: s.warmup,
-            horizon: s.horizon,
-            seed: s.seed,
-            failures: &s.failures,
-        },
-        &spec,
-        &mut writer,
-    );
-    writer.finish()
-}
-
-/// As [`scenario_replications`], but through the sharded kernel backend
-/// with `num_shards` shards and the given link `partition` — the
-/// shard-parity harness. The shard count and partition must be pure
-/// scheduling details: every `(num_shards, partition)` pair must yield
-/// results byte-identical to `scenario_replications(name, seeds, 1)`.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name, `seeds == 0`, or an invalid
-/// shard spec.
-pub fn scenario_replications_sharded(
-    name: &str,
-    seeds: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<SeedResult> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
-    let mut scratch = KernelScratch::new();
-    (0..seeds)
-        .map(|i| {
-            run_seed_sharded_pooled(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &spec,
-                &mut scratch,
-            )
-        })
-        .collect()
-}
-
-/// The telemetry grid width the recorded-parity harnesses use: ten
-/// windows over each scenario's covered range.
-fn scenario_window(s: &Scenario) -> f64 {
-    (s.warmup + s.horizon) / 10.0
-}
-
+/// A telemetry recorder for scenario `s`, gridded into ten windows over
+/// its covered range.
 fn scenario_telemetry(s: &Scenario) -> RunTelemetry {
     let capacities: Vec<u32> = s
         .plan
@@ -372,12 +254,13 @@ fn scenario_telemetry(s: &Scenario) -> RunTelemetry {
         .iter()
         .map(|l| l.capacity)
         .collect();
-    RunTelemetry::new(s.warmup, s.horizon, scenario_window(s), capacities)
+    let window = (s.warmup + s.horizon) / 10.0;
+    RunTelemetry::new(s.warmup, s.horizon, window, capacities)
 }
 
 /// As [`scenario_replications`] on one worker, but with a live
-/// [`RunTelemetry`] recorder attached to every seed — the serial
-/// instrumented oracle for the recorded-parity harness. Returns each
+/// [`RunTelemetry`] recorder attached to every seed — the harness that
+/// checks a recorder never perturbs the results. Returns each
 /// seed's result alongside its finished telemetry snapshot.
 ///
 /// # Panics
@@ -398,44 +281,6 @@ pub fn scenario_replications_recorded(name: &str, seeds: u32) -> Vec<(SeedResult
                     seed: s.seed + u64::from(i),
                     failures: &s.failures,
                 },
-                &mut telemetry,
-            );
-            (result, telemetry)
-        })
-        .collect()
-}
-
-/// As [`scenario_replications_recorded`], but through the sharded
-/// kernel entry. Recorder hooks are replayed at the barriers in global
-/// event order, so every `(num_shards, partition)` pair must produce
-/// results *and telemetry* byte-identical to the serial instrumented
-/// oracle — the shard-aware-recording parity harness.
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name or an invalid shard spec.
-pub fn scenario_replications_recorded_sharded(
-    name: &str,
-    seeds: u32,
-    num_shards: usize,
-    partition: Partition,
-) -> Vec<(SeedResult, RunTelemetry)> {
-    let s = scenario(name);
-    let spec = ShardSpec::new(s.plan.topology().num_links(), num_shards, partition);
-    (0..seeds)
-        .map(|i| {
-            let mut telemetry = scenario_telemetry(&s);
-            let result = run_seed_sharded_recorded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &spec,
                 &mut telemetry,
             );
             (result, telemetry)

@@ -134,8 +134,8 @@ use altroute_sim::adaptive::{run_adaptive_replications, run_adaptive_telemetry, 
 use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{
-    run_multirate_sharded, run_multirate_telemetry, run_multirate_with_workers, BandwidthClass,
-    MultirateParams, MultiratePolicy,
+    run_multirate_telemetry, run_multirate_with_workers, BandwidthClass, MultirateParams,
+    MultiratePolicy,
 };
 use altroute_sim::signaling::{
     run_signaling_replications, run_signaling_telemetry, SignalingConfig, SignalingPolicy,
@@ -967,14 +967,7 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
         base_seed: config.base_seed,
     };
     let window = resolve_window(flags, params.warmup, params.horizon)?;
-    flags.reject_worker_shard_conflict()?;
     let workers = flags.worker_count();
-    if flags.shards.is_some() && flags.telemetry.is_some() {
-        eprintln!(
-            "note: --telemetry instruments every event, which requires the serial \
-             kernel; --shards only affects uninstrumented runs"
-        );
-    }
     let server = flags.bind_server(path)?;
     let heartbeat = flags
         .progress
@@ -1003,8 +996,6 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
             }
             snapshots.push((kind.name().to_string(), t));
             r
-        } else if let Some(shards) = flags.shards {
-            exp.run_sharded(kind, &params, shards, progress)
         } else {
             exp.run_with_progress(kind, &params, workers, progress)
         };
@@ -1088,14 +1079,6 @@ fn print_summary_output(
 fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    flags.reject_worker_shard_conflict()?;
-    if flags.shards.is_some() {
-        eprintln!(
-            "note: the adaptive controller's measurement tick observes every \
-             event, which requires the serial kernel; --shards is accepted but \
-             each replication runs serially"
-        );
-    }
     let plan = exp.plan_for(PolicyKind::ControlledAlternate {
         max_hops: config.max_hops,
     });
@@ -1187,13 +1170,6 @@ fn cmd_adaptive(path: &str, flags: &Flags) -> Result<(), String> {
 fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    flags.reject_worker_shard_conflict()?;
-    if flags.shards.is_some() && flags.telemetry.is_some() {
-        eprintln!(
-            "note: --telemetry instruments every event, which requires the serial \
-             kernel; --shards only affects uninstrumented runs"
-        );
-    }
     // Two classes carved from the config traffic: a 1-unit class at the
     // configured load and a 4-unit wideband class at a tenth of it.
     let classes = [
@@ -1241,8 +1217,6 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
                 run_multirate_telemetry(topo, &classes, policy, &params, &failures, window);
             snapshots.push((policy.name().to_string(), telemetry));
             r
-        } else if let Some(shards) = flags.shards {
-            run_multirate_sharded(topo, &classes, policy, &params, &failures, shards)
         } else {
             run_multirate_with_workers(
                 topo,
@@ -1306,13 +1280,6 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
 fn cmd_signaling(path: &str, flags: &Flags) -> Result<(), String> {
     let (config, exp, failures) = load_experiment(path)?;
     let window = resolve_window(flags, config.warmup, config.horizon)?;
-    if flags.shards.is_some() {
-        eprintln!(
-            "note: the signaling simulator drives its own hop-by-hop event loop, \
-             which requires the serial kernel; --shards is accepted but each \
-             replication runs serially"
-        );
-    }
     let hop_delay = flags.hop_delay.unwrap_or(2e-4);
     if !(hop_delay.is_finite() && hop_delay >= 0.0) {
         return Err(format!("--hop-delay must be >= 0, got {hop_delay}"));
@@ -1753,7 +1720,6 @@ struct Flags {
     policy: Option<String>,
     hop_delay: Option<f64>,
     workers: Option<usize>,
-    shards: Option<usize>,
     d: Option<u32>,
     preset: Option<String>,
     nodes: Option<usize>,
@@ -1787,9 +1753,6 @@ impl Flags {
         }
         if self.workers.is_some() {
             v.push("--workers");
-        }
-        if self.shards.is_some() {
-            v.push("--shards");
         }
         if self.d.is_some() {
             v.push("--d");
@@ -1829,20 +1792,6 @@ impl Flags {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// `--workers` parallelizes *across* replications while `--shards`
-    /// parallelizes *within* each one; combining them would oversubscribe
-    /// the machine, so the CLI treats the pair as a usage error.
-    fn reject_worker_shard_conflict(&self) -> Result<(), String> {
-        if self.workers.is_some() && self.shards.is_some() {
-            return Err(
-                "--workers parallelizes across replications and --shards within \
-                 each one; pass at most one of the two"
-                    .into(),
-            );
-        }
-        Ok(())
-    }
-
     /// Rejects any set flag the subcommand does not accept.
     fn allow_only(&self, cmd: &str, allowed: &[&str]) -> Result<(), String> {
         match self.set().iter().find(|f| !allowed.contains(*f)) {
@@ -1876,7 +1825,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 | "policy"
                 | "hop-delay"
                 | "workers"
-                | "shards"
                 | "d"
                 | "preset"
                 | "nodes"
@@ -1926,13 +1874,6 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                         "omit the flag to use all {} available cores",
                         default_workers()
                     ),
-                )?)
-            }
-            "shards" => {
-                flags.shards = Some(parse_count(
-                    &value.expect("takes_value"),
-                    "--shards",
-                    "omit the flag or pass 1 for the serial kernel",
                 )?)
             }
             "d" => {
@@ -2012,7 +1953,6 @@ fn run() -> Result<(), String> {
                     "--window",
                     "--policy",
                     "--workers",
-                    "--shards",
                     "--d",
                     "--serve",
                 ],
@@ -2054,7 +1994,6 @@ fn run() -> Result<(), String> {
                     "--telemetry",
                     "--window",
                     "--workers",
-                    "--shards",
                     "--serve",
                 ],
             )?;
@@ -2063,26 +2002,14 @@ fn run() -> Result<(), String> {
         ["multirate", config] => {
             flags.allow_only(
                 "multirate",
-                &[
-                    "--metrics-json",
-                    "--telemetry",
-                    "--window",
-                    "--workers",
-                    "--shards",
-                ],
+                &["--metrics-json", "--telemetry", "--window", "--workers"],
             )?;
             cmd_multirate(config, &flags)
         }
         ["signaling", config] => {
             flags.allow_only(
                 "signaling",
-                &[
-                    "--metrics-json",
-                    "--telemetry",
-                    "--window",
-                    "--hop-delay",
-                    "--shards",
-                ],
+                &["--metrics-json", "--telemetry", "--window", "--hop-delay"],
             )?;
             cmd_signaling(config, &flags)
         }
@@ -2108,13 +2035,13 @@ fn run() -> Result<(), String> {
                   protect LOAD CAP H | \
                   simulate CONFIG.json [--metrics-json] [--progress] \
                   [--telemetry DIR] [--window W] [--policy NAME] \
-                  [--workers N] [--shards S] [--serve ADDR] | \
+                  [--workers N] [--serve ADDR] | \
                   adaptive CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] [--shards S] [--serve ADDR] | \
+                  [--workers N] [--serve ADDR] | \
                   multirate CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--workers N] [--shards S] | \
+                  [--workers N] | \
                   signaling CONFIG.json [--metrics-json] [--telemetry DIR] [--window W] \
-                  [--hop-delay D] [--shards S] | \
+                  [--hop-delay D] | \
                   metastability [--preset smoke|paper] [--nodes N] [--d K] \
                   [--window W] [--metrics-json] [--telemetry DIR] [--serve ADDR] | \
                   largemesh [--preset smoke|full] [--nodes N] [--metrics-json] | \
@@ -2132,6 +2059,24 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // `--shards` included: a script still passing it must fail
+        // loudly rather than silently run a different execution mode.
+        for flag in ["--bogus", "--shards"] {
+            let args: Vec<String> = ["simulate", "cfg.json", flag, "2"].map(String::from).into();
+            assert_eq!(
+                parse_args(&args).unwrap_err(),
+                format!("unknown flag {flag}")
+            );
         }
     }
 }

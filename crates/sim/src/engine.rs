@@ -33,12 +33,10 @@ use altroute_core::select::{
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
-    KernelScratch, KernelSpec, Link, LinkEvent, RouteSelector, Tier, TrunkReservation,
-    Uncontrolled,
+    KernelScratch, KernelSpec, LinkEvent, RouteSelector, Tier, TrunkReservation, Uncontrolled,
 };
 use altroute_simcore::metrics::EngineMetrics;
 use altroute_simcore::rng::StreamFactory;
-use altroute_simcore::shard::{self, ShardSpec};
 use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder};
 
 /// The RNG stream id of the DAR selector's private resampling stream.
@@ -178,39 +176,17 @@ impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
     fn event_processed(&mut self, now: f64, queue_len: usize) {
         self.recorder.event(now, queue_len);
     }
-
-    fn is_noop(&self) -> bool {
-        // Compile-time: true only for (NullTraceSink, NullRecorder), so
-        // the sharded backend engages exactly on uninstrumented runs and
-        // every traced/recorded run keeps the serial event order.
-        S::IS_NOOP && R::IS_NOOP
-    }
-
-    fn replayable(&self) -> bool {
-        // Compile-time: [`Recorder`] hooks never see call handles or any
-        // other shard-local identifier — times, tags, links, and flags
-        // only — so recorder-only instrumentation tolerates barrier
-        // replay and keeps the sharded fast path. A real trace sink
-        // writes `(call, gen)` handles byte-for-byte and must keep the
-        // serial oracle.
-        S::IS_NOOP
-    }
 }
 
 /// Which kernel entry point a replication runs through: the default
 /// fresh-scratch calendar queue, a caller-recycled [`KernelScratch`],
-/// the `BinaryHeap` reference baseline, or the sharded parallel backend.
-/// All four are outcome-identical by the kernel's contract; only
+/// or the `BinaryHeap` reference baseline. All three are
+/// outcome-identical by the kernel's contract; only
 /// allocation behavior and speed differ.
 enum KernelEntry<'s> {
     Fresh,
     Pooled(&'s mut KernelScratch),
     Reference,
-    Sharded {
-        shards: &'s ShardSpec,
-        footprints: &'s [Vec<Link>],
-        scratch: &'s mut KernelScratch,
-    },
 }
 
 impl KernelEntry<'_> {
@@ -222,8 +198,8 @@ impl KernelEntry<'_> {
         observer: &mut O,
     ) -> KernelOutcome
     where
-        A: AdmissionPolicy + Clone + Send,
-        Sel: RouteSelector<'p> + Clone + Send,
+        A: AdmissionPolicy,
+        Sel: RouteSelector<'p>,
         O: KernelObserver,
     {
         match self {
@@ -232,13 +208,6 @@ impl KernelEntry<'_> {
                 kernel::run_pooled(spec, admission, selector, observer, scratch)
             }
             KernelEntry::Reference => kernel::run_reference(spec, admission, selector, observer),
-            KernelEntry::Sharded {
-                shards,
-                footprints,
-                scratch,
-            } => shard::run_sharded(
-                spec, shards, footprints, admission, selector, observer, scratch,
-            ),
         }
     }
 }
@@ -392,8 +361,7 @@ pub fn run_seed_warm_recorded<R: Recorder>(
 /// [`run_seed_instrumented`]. This is the entry point behind the
 /// metastability experiments' anomaly flight recorder: a
 /// [`FlightSink`](crate::trace::FlightSink) rides along a warm-started
-/// recorded run (warm starts always take the serial kernel path, so a
-/// live sink is safe) and the recorder's window hooks freeze the ring.
+/// recorded run and the recorder's window hooks freeze the ring.
 /// Both observers are pure: results and telemetry are byte-identical to
 /// [`run_seed_warm_recorded`].
 ///
@@ -412,172 +380,6 @@ pub fn run_seed_warm_instrumented<S: TraceSink, R: Recorder>(
         sink,
         recorder,
         KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_sharded`], warm-started like [`run_seed_warm`]. A
-/// non-empty warm start forces the sharded backend's serial fallback
-/// (seeded calls are cross-shard state the workers cannot replay), so
-/// results are byte-identical to [`run_seed_warm`] by construction; an
-/// empty slice behaves exactly like [`run_seed_sharded`].
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_sharded(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    shards: &ShardSpec,
-) -> SeedResult {
-    let footprints = pair_footprints(config.plan, config.traffic);
-    let mut scratch = KernelScratch::new();
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Sharded {
-            shards,
-            footprints: &footprints,
-            scratch: &mut scratch,
-        },
-    )
-}
-
-/// The link footprint of every demand pair, in `demands()` order (the
-/// same order [`build_spec`] emits arrival sources): the union of the
-/// links on the pair's primary split paths and on every alternate
-/// candidate path, sorted and deduplicated.
-///
-/// This is the full set of links a call from that source can ever
-/// book, so the sharded backend can classify the source as shard-local
-/// (footprint within one shard) or cross-shard (coordinator-handled).
-pub fn pair_footprints(plan: &RoutingPlan, traffic: &TrafficMatrix) -> Vec<Vec<Link>> {
-    traffic
-        .demands()
-        .map(|(i, j, _)| {
-            let mut fp: Vec<Link> = Vec::new();
-            for (path, _) in plan.primaries().split(i, j) {
-                fp.extend_from_slice(path.links());
-            }
-            for path in plan.candidates(i, j) {
-                fp.extend_from_slice(path.links());
-            }
-            fp.sort_unstable();
-            fp.dedup();
-            fp
-        })
-        .collect()
-}
-
-/// As [`run_seed`], but on the sharded parallel kernel backend: links
-/// are partitioned per `shards`, shard-local traffic runs on worker
-/// threads, and cross-shard traffic is serialized through a
-/// coordinator under conservative time-window synchronization.
-///
-/// Results are **byte-identical** to [`run_seed`] for every shard
-/// count — the sharded backend is an execution strategy, not a model
-/// change — and the backend falls back to the serial kernel whenever a
-/// precondition fails (one shard, a non-shardable selector such as
-/// DAR, or no shard-local traffic).
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded(config: &RunConfig<'_>, shards: &ShardSpec) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_pooled(config, shards, &mut scratch)
-}
-
-/// As [`run_seed_sharded`], recycling `scratch` for the coordinator's
-/// event queue and master state across calls. Results are
-/// byte-identical to [`run_seed_sharded`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_pooled(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    run_seed_sharded_instrumented(
-        config,
-        shards,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        scratch,
-    )
-}
-
-/// As [`run_seed_traced`], through the sharded entry. A trace sink
-/// observes every event, which forces the serial fallback, so the
-/// recorded trace is byte-identical to [`run_seed_traced`]'s — the
-/// conformance suite uses this to pin the sharded plumbing (footprint
-/// computation, spec validation, fallback detection) to the golden
-/// traces.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_traced<S: TraceSink>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    sink: &mut S,
-) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_instrumented(config, shards, sink, &mut NullRecorder, &mut scratch)
-}
-
-/// As [`run_seed_recorded`], through the sharded entry. [`Recorder`]
-/// hooks carry no call handles, so the kernel buffers them per shard
-/// and replays them at the barriers in global `(time, shard)` event
-/// order — the run stays parallel *and* the recorder sees the serial
-/// oracle's stream: telemetry and [`SeedResult`] are byte-identical to
-/// [`run_seed_recorded`]'s. The conformance suite pins this.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_recorded<R: Recorder>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    recorder: &mut R,
-) -> SeedResult {
-    let mut scratch = KernelScratch::new();
-    run_seed_sharded_instrumented(config, shards, &mut NullTraceSink, recorder, &mut scratch)
-}
-
-/// The fully general sharded entry: a [`TraceSink`] and [`Recorder`]
-/// may be attached. A recorder alone keeps the parallel path (its
-/// hooks are buffered per shard and replayed at the barriers in global
-/// event order — see [`run_seed_sharded_recorded`]); a real trace sink
-/// forces the serial fallback, since its byte-exact output embeds call
-/// handles only the serial oracle reproduces. Either way, instrumented
-/// calls through here remain byte-identical to
-/// [`run_seed_instrumented`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_sharded_instrumented<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    shards: &ShardSpec,
-    sink: &mut S,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    let footprints = pair_footprints(config.plan, config.traffic);
-    run_seed_entry(
-        config,
-        &[],
-        sink,
-        recorder,
-        KernelEntry::Sharded {
-            shards,
-            footprints: &footprints,
-            scratch,
-        },
     )
 }
 
@@ -869,7 +671,6 @@ where
 mod tests {
     use super::*;
     use altroute_netgraph::topologies;
-    use altroute_simcore::shard::Partition;
     use altroute_teletraffic::erlang::erlang_b;
 
     fn single_link_plan(capacity: u32, load: f64) -> (RoutingPlan, TrafficMatrix) {
@@ -1268,188 +1069,6 @@ mod tests {
                 run_seed_pooled(&config, &mut scratch),
                 "{policy:?} pooled"
             );
-        }
-    }
-
-    #[test]
-    fn sharded_backend_matches_serial_for_every_policy() {
-        // The sharded entry must be byte-identical to the serial run for
-        // every policy and shard count — whether it genuinely fans out
-        // (shardable selectors) or takes the serial fallback (DAR's
-        // sticky state). The quadrangle's overlapping pairs exercise the
-        // cross-shard coordinator; the outage keeps teardown paths
-        // honest.
-        let topo = topologies::quadrangle();
-        let m = TrafficMatrix::uniform(4, 60.0);
-        let link01 = RoutingPlan::min_hop(topo.clone(), &m, 3)
-            .topology()
-            .link_between(0, 1)
-            .unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-        for policy in [
-            PolicyKind::SinglePath,
-            PolicyKind::UncontrolledAlternate { max_hops: 3 },
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::OttKrishnan { max_hops: 3 },
-            PolicyKind::DarSticky { max_hops: 3 },
-        ] {
-            let plan = RoutingPlan::min_hop(topo.clone(), &m, 3);
-            let config = RunConfig {
-                plan: &plan,
-                policy,
-                traffic: &m,
-                warmup: 5.0,
-                horizon: 30.0,
-                seed: 77,
-                failures: &failures,
-            };
-            let serial = run_seed(&config);
-            for num_shards in [1, 2, 4] {
-                let shards = ShardSpec::new(
-                    plan.topology().num_links(),
-                    num_shards,
-                    Partition::Contiguous,
-                );
-                assert_eq!(
-                    serial,
-                    run_seed_sharded(&config, &shards),
-                    "{policy:?} at {num_shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_backend_matches_serial_on_disjoint_clusters() {
-        // clustered_mesh gives cluster-contiguous link ids and
-        // intra-cluster-only footprints: with a cluster-aligned contiguous
-        // partition every source is shard-local and the run genuinely fans
-        // out — the parallel hot path, not the coordinator fallback.
-        let clusters = 3;
-        let size = 3;
-        let topo = topologies::clustered_mesh(clusters, size, 15);
-        let m = TrafficMatrix::from_fn(clusters * size, |i, j| {
-            if i != j && i / size == j / size {
-                9.0
-            } else {
-                0.0
-            }
-        });
-        let plan = RoutingPlan::min_hop(topo, &m, 2);
-        let failures = FailureSchedule::none();
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 2 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 40.0,
-            seed: 2026,
-            failures: &failures,
-        };
-        // Sanity: every footprint stays within one cluster's link range.
-        let per_cluster = size * (size - 1);
-        for fp in pair_footprints(&plan, &m) {
-            assert!(!fp.is_empty());
-            let c = fp[0] / per_cluster;
-            assert!(fp.iter().all(|&l| l / per_cluster == c));
-        }
-        let serial = run_seed(&config);
-        let mut scratch = KernelScratch::new();
-        for num_shards in [1, 2, 3, 6] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            assert_eq!(
-                serial,
-                run_seed_sharded_pooled(&config, &shards, &mut scratch),
-                "{num_shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_recorded_run_matches_the_serial_instrumented_oracle() {
-        // A real recorder must no longer force the serial fallback: the
-        // sharded entry buffers its hooks per shard and replays them at
-        // the barriers, so both the SeedResult and the full RunTelemetry
-        // must be byte-identical to the serial instrumented oracle —
-        // under an outage (coordinator teardowns) and on the genuinely
-        // parallel disjoint-cluster workload alike.
-        use altroute_telemetry::RunTelemetry;
-
-        let telemetry_for = |plan: &RoutingPlan, run: &dyn Fn(&mut RunTelemetry) -> SeedResult| {
-            let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-            let mut t = RunTelemetry::new(5.0, 30.0, 5.0, capacities);
-            let r = run(&mut t);
-            (r, t)
-        };
-
-        // Quadrangle with an outage: overlapping pairs keep the
-        // coordinator busy; teardown hooks cross the master/owner split.
-        let topo = topologies::quadrangle();
-        let m = TrafficMatrix::uniform(4, 60.0);
-        let plan = RoutingPlan::min_hop(topo, &m, 3);
-        let link01 = plan.topology().link_between(0, 1).unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 8.0, 14.0);
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 3 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 30.0,
-            seed: 77,
-            failures: &failures,
-        };
-        let (serial, serial_t) = telemetry_for(&plan, &|t| run_seed_recorded(&config, t));
-        assert!(serial_t.dropped > 0, "the outage must reach the recorder");
-        for num_shards in [2, 4] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            let (sharded, sharded_t) =
-                telemetry_for(&plan, &|t| run_seed_sharded_recorded(&config, &shards, t));
-            assert_eq!(serial, sharded, "{num_shards} shards");
-            assert_eq!(serial_t, sharded_t, "{num_shards} shards");
-        }
-
-        // Disjoint clusters: every source shard-local, the parallel hot
-        // path with live per-shard recording.
-        let clusters = 3;
-        let size = 3;
-        let topo = topologies::clustered_mesh(clusters, size, 15);
-        let m = TrafficMatrix::from_fn(clusters * size, |i, j| {
-            if i != j && i / size == j / size {
-                9.0
-            } else {
-                0.0
-            }
-        });
-        let plan = RoutingPlan::min_hop(topo, &m, 2);
-        let failures = FailureSchedule::none();
-        let config = RunConfig {
-            plan: &plan,
-            policy: PolicyKind::ControlledAlternate { max_hops: 2 },
-            traffic: &m,
-            warmup: 5.0,
-            horizon: 30.0,
-            seed: 2026,
-            failures: &failures,
-        };
-        let (serial, serial_t) = telemetry_for(&plan, &|t| run_seed_recorded(&config, t));
-        for num_shards in [2, 3, 6] {
-            let shards = ShardSpec::new(
-                plan.topology().num_links(),
-                num_shards,
-                Partition::Contiguous,
-            );
-            let (sharded, sharded_t) =
-                telemetry_for(&plan, &|t| run_seed_sharded_recorded(&config, &shards, t));
-            assert_eq!(serial, sharded, "{num_shards} shards");
-            assert_eq!(serial_t, sharded_t, "{num_shards} shards");
         }
     }
 

@@ -11,9 +11,7 @@
 //! [`Experiment::erlang_bound`] computes the cut-set lower bound for the
 //! same instance (accounting for statically failed links).
 
-use crate::engine::{
-    run_seed_pooled, run_seed_recorded_pooled, run_seed_sharded_pooled, RunConfig, SeedResult,
-};
+use crate::engine::{run_seed_pooled, run_seed_recorded_pooled, RunConfig, SeedResult};
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
@@ -25,7 +23,6 @@ use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::KernelScratch;
 use altroute_simcore::metrics::EngineMetrics;
 use altroute_simcore::pool::{default_workers, pool_run_with};
-use altroute_simcore::shard::{Partition, ShardSpec};
 use altroute_simcore::stats::Replications;
 use altroute_telemetry::{RunTelemetry, SpanProfile};
 
@@ -238,65 +235,6 @@ impl Experiment {
                 )
             },
         );
-        self.summarize(kind, per_seed)
-    }
-
-    /// As [`Experiment::run`], but parallelizing *within* each
-    /// replication instead of across replications: seeds run
-    /// sequentially, and each replication executes on the sharded kernel
-    /// backend with its links contiguously partitioned over `num_shards`
-    /// worker threads.
-    ///
-    /// This is the right shape when replications are few but each one is
-    /// large (the opposite of the seed-fan-out pool), and it is required
-    /// to be byte-identical to [`Experiment::run`] for every shard count
-    /// — sharding is an execution strategy, never a model change. Runs
-    /// whose policy cannot shard (DAR's sticky state) silently take the
-    /// kernel's serial fallback.
-    ///
-    /// `progress` is notified after each completed replication, exactly
-    /// as in [`Experiment::run_with_progress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.seeds` or `num_shards` is zero.
-    pub fn run_sharded(
-        &self,
-        kind: PolicyKind,
-        params: &SimParams,
-        num_shards: usize,
-        progress: Option<&dyn ProgressObserver>,
-    ) -> ExperimentResult {
-        assert!(params.seeds > 0, "need at least one replication");
-        let plan = self.plan_for(kind);
-        let shards = ShardSpec::new(
-            plan.topology().num_links(),
-            num_shards,
-            Partition::Contiguous,
-        );
-        let mut scratch = KernelScratch::new();
-        let total = params.seeds as usize;
-        let per_seed = (0..total)
-            .map(|i| {
-                let result = run_seed_sharded_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    &shards,
-                    &mut scratch,
-                );
-                if let Some(p) = progress {
-                    p.replication_done(i + 1, total);
-                }
-                result
-            })
-            .collect();
         self.summarize(kind, per_seed)
     }
 
@@ -684,29 +622,6 @@ mod tests {
                 for (a, b) in sequential.per_seed.iter().zip(&pooled.per_seed) {
                     assert_eq!(a.metrics, b.metrics);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_experiment_matches_pooled_run_bit_for_bit() {
-        // Intra-replication sharding and across-replication pooling are
-        // both pure scheduling details: the same seeds must come back
-        // byte-identical, EngineMetrics included, at every shard count.
-        let exp =
-            Experiment::new(topologies::quadrangle(), TrafficMatrix::uniform(4, 85.0)).unwrap();
-        let params = quick();
-        for kind in [
-            PolicyKind::ControlledAlternate { max_hops: 3 },
-            PolicyKind::DarSticky { max_hops: 3 }, // serial fallback path
-        ] {
-            let pooled = exp.run(kind, &params);
-            for num_shards in [1, 2, 4] {
-                let sharded = exp.run_sharded(kind, &params, num_shards, None);
-                assert_eq!(
-                    pooled.per_seed, sharded.per_seed,
-                    "{kind:?} with {num_shards} shards diverged"
-                );
             }
         }
     }

@@ -56,8 +56,8 @@ pub mod signaling;
 pub mod trace;
 
 pub use engine::{
-    apply_static_failures, pair_footprints, run_seed, run_seed_instrumented, run_seed_recorded,
-    run_seed_sharded, run_seed_sharded_pooled, run_seed_traced, RunConfig, SeedResult,
+    apply_static_failures, run_seed, run_seed_instrumented, run_seed_recorded, run_seed_traced,
+    RunConfig, SeedResult,
 };
 pub use experiment::{Experiment, ExperimentError, ExperimentResult, SimParams};
 pub use failures::FailureSchedule;

@@ -28,11 +28,10 @@ use altroute_core::select::TieredSelector;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, Link, LinkEvent, NullObserver,
-    TrunkReservation, Uncontrolled,
+    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent, TrunkReservation,
+    Uncontrolled,
 };
 use altroute_simcore::pool::{default_workers, pool_run_with};
-use altroute_simcore::shard::{self, Partition, ShardSpec};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 use altroute_teletraffic::reservation::protection_level;
@@ -474,114 +473,6 @@ fn run_one<S: TraceSink, R: Recorder>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_one_sharded(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-    shards: &ShardSpec,
-    footprints: &[Vec<Link>],
-    scratch: &mut KernelScratch,
-) -> OneRun {
-    let plan = &mp.plan;
-    let (capacities, sources, link_events, config) =
-        build_parts(mp, classes, params, seed, failures);
-    let spec = KernelSpec {
-        config,
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-    let outcome = match policy {
-        MultiratePolicy::SinglePath => shard::run_sharded(
-            &spec,
-            shards,
-            footprints,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut NullObserver,
-            scratch,
-        ),
-        MultiratePolicy::Uncontrolled => shard::run_sharded(
-            &spec,
-            shards,
-            footprints,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut NullObserver,
-            scratch,
-        ),
-        MultiratePolicy::Controlled => shard::run_sharded(
-            &spec,
-            shards,
-            footprints,
-            &mut TrunkReservation::new(mp.levels.clone()),
-            &mut TieredSelector::new(plan),
-            &mut NullObserver,
-            scratch,
-        ),
-    };
-    OneRun {
-        offered: outcome.tally_offered,
-        blocked: outcome.tally_blocked,
-    }
-}
-
-/// As [`run_multirate`], but parallelizing *within* each replication:
-/// seeds run sequentially and each replication executes on the sharded
-/// kernel backend, links contiguously partitioned over `num_shards`
-/// worker threads (statistics only — no trace or telemetry hooks, which
-/// would force the serial fallback).
-///
-/// Required to be bit-identical to [`run_multirate`] for every shard
-/// count: the tiered selector is a pure function of the call and its
-/// footprint-restricted link view, so sharding is purely an execution
-/// strategy.
-///
-/// # Panics
-///
-/// As [`run_multirate`]; additionally if `num_shards == 0`.
-pub fn run_multirate_sharded(
-    topo: &Topology,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    failures: &FailureSchedule,
-    num_shards: usize,
-) -> MultirateResult {
-    validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
-    let shards = ShardSpec::new(topo.num_links(), num_shards, Partition::Contiguous);
-    // One footprint per (class, pair) source, in the class-major order
-    // build_parts emits them; all classes of a pair share its paths.
-    let mut footprints: Vec<Vec<Link>> = Vec::new();
-    for class in classes {
-        footprints.extend(crate::engine::pair_footprints(&mp.plan, &class.traffic));
-    }
-    let mut scratch = KernelScratch::new();
-    let runs: Vec<OneRun> = (0..params.seeds as usize)
-        .map(|i| {
-            run_one_sharded(
-                &mp,
-                classes,
-                policy,
-                params,
-                params.base_seed + i as u64,
-                failures,
-                &shards,
-                &footprints,
-                &mut scratch,
-            )
-        })
-        .collect();
-    summarize(policy, classes, &runs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,45 +624,6 @@ mod tests {
         assert_eq!(a.per_class_blocking, b.per_class_blocking);
         assert_eq!(a.blocking, b.blocking);
         assert_eq!(a.bandwidth_blocking, b.bandwidth_blocking);
-    }
-
-    #[test]
-    fn sharded_multirate_matches_pooled_at_every_shard_count() {
-        // Intra-replication sharding must be invisible in the results,
-        // for every policy and shard count, including shard counts that
-        // exceed the link count.
-        let topo = topologies::quadrangle();
-        let classes = [
-            BandwidthClass {
-                bandwidth: 1,
-                traffic: TrafficMatrix::uniform(4, 40.0),
-            },
-            BandwidthClass {
-                bandwidth: 3,
-                traffic: TrafficMatrix::uniform(4, 6.0),
-            },
-        ];
-        let params = MultirateParams {
-            warmup: 5.0,
-            horizon: 40.0,
-            seeds: 3,
-            base_seed: 17,
-            max_hops: 3,
-        };
-        let link01 = topo.link_between(0, 1).unwrap();
-        let failures = FailureSchedule::none().with_outage(link01, 12.0, 25.0);
-        for policy in [
-            MultiratePolicy::SinglePath,
-            MultiratePolicy::Uncontrolled,
-            MultiratePolicy::Controlled,
-        ] {
-            let serial = run_multirate_with_workers(&topo, &classes, policy, &params, &failures, 1);
-            for num_shards in [1, 2, 4, 16] {
-                let sharded =
-                    run_multirate_sharded(&topo, &classes, policy, &params, &failures, num_shards);
-                assert_eq!(serial, sharded, "{policy:?} at {num_shards} shards");
-            }
-        }
     }
 
     #[test]

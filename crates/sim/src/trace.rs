@@ -69,14 +69,6 @@ pub enum TraceDecision<'a> {
 /// Implementations must be cheap: the engine calls a method per event.
 /// The no-op [`NullTraceSink`] keeps the untraced path free.
 pub trait TraceSink {
-    /// True when every hook is a no-op: the sharded kernel backend
-    /// serializes any run with a live trace sink (sink output embeds
-    /// `(call, gen)` handles, which are shard-local in a parallel run
-    /// — only the serial oracle reproduces them byte-exactly). Defaults
-    /// to `false`; only sinks whose every method body is empty may
-    /// override it.
-    const IS_NOOP: bool = false;
-
     /// A call arrived for `pair` and the router decided `decision`.
     fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>);
     /// A departure event fired for call handle `(call, gen)`; `stale` is
@@ -94,8 +86,6 @@ pub trait TraceSink {
 pub struct NullTraceSink;
 
 impl TraceSink for NullTraceSink {
-    const IS_NOOP: bool = true;
-
     #[inline(always)]
     fn arrival(&mut self, _: f64, _: u32, _: TraceDecision<'_>) {}
     #[inline(always)]

@@ -179,16 +179,6 @@ impl LinkOccupancy {
     pub fn total_occupancy(&self) -> u64 {
         self.occupancy.iter().map(|&o| u64::from(o)).sum()
     }
-
-    /// Overwrites the link's booked units directly, bypassing the
-    /// book/release invariants. Only the sharded backend's occupancy
-    /// synchronization uses this: at a barrier the coordinator copies
-    /// authoritative per-link values between its master view and the
-    /// owning shard's replica, which is a state transplant rather than
-    /// a booking.
-    pub(crate) fn set_occupancy_raw(&mut self, link: Link, units: u32) {
-        self.occupancy[link] = units;
-    }
 }
 
 /// Per-link accept/reject for one call, given occupancy, capacity, and
@@ -324,20 +314,6 @@ pub trait RouteSelector<'p> {
     fn tick<A: AdmissionPolicy>(&mut self, now: f64, admission: &mut A) {
         let _ = (now, admission);
     }
-
-    /// Whether this selector may run on the sharded backend
-    /// ([`crate::shard::run_sharded`]). A shardable selector must be a
-    /// pure function of its call arguments and the occupancy view
-    /// restricted to the links it may route `src → dst` over (its
-    /// *footprint*): no mutable cross-arrival state, no private RNG
-    /// draws, and [`observe_arrival`](RouteSelector::observe_arrival) /
-    /// [`tick`](RouteSelector::tick) must be no-ops — clones of the
-    /// selector see only their own shard's arrivals. Defaults to
-    /// `false`; the sharded backend falls back to the single-threaded
-    /// oracle for selectors that keep it that way.
-    fn shardable(&self) -> bool {
-        false
-    }
 }
 
 /// Observer of the kernel's event stream, called at the same points the
@@ -389,53 +365,13 @@ pub trait KernelObserver {
     fn event_processed(&mut self, now: f64, queue_len: usize) {
         let _ = (now, queue_len);
     }
-
-    /// Whether this observer ignores every hook. The sharded backend
-    /// ([`crate::shard::run_sharded`]) parallelizes runs whose observer
-    /// is a no-op or [`replayable`](KernelObserver::replayable); any
-    /// other observer routes through the single-threaded oracle. Only
-    /// observers that genuinely discard everything may return `true`.
-    fn is_noop(&self) -> bool {
-        false
-    }
-
-    /// Whether the sharded backend may *replay* this observer's hooks
-    /// at reconciliation instead of serializing the run.
-    ///
-    /// A replayable observer's hooks are buffered per shard while the
-    /// workers run and delivered at the barrier, merged across shards
-    /// in `(time, shard)` order — the oracle's event order, since
-    /// cross-shard timestamp ties have probability zero (see the module
-    /// docs of [`crate::shard`]). Within one event the hooks arrive in
-    /// the oracle's exact intra-event order. Two caveats make this an
-    /// opt-in rather than the default:
-    ///
-    /// * Call handles (`call`, `gen`) in [`departure`](KernelObserver::departure)
-    ///   and [`teardown`](KernelObserver::teardown) are *shard-local*:
-    ///   each shard allocates from its own table, so the handles differ
-    ///   from the serial oracle's. A replayable observer must not
-    ///   derive state from them (treating them as opaque or ignoring
-    ///   them is fine — aggregating recorders do).
-    /// * Hooks arrive with barrier latency, not live.
-    ///
-    /// Observers insensitive to both — statistical recorders keyed on
-    /// times, tags, links, and flags — may return `true` and keep the
-    /// parallel fast path. Byte-exact trace sinks must keep the default
-    /// `false`: their output embeds the handles.
-    fn replayable(&self) -> bool {
-        false
-    }
 }
 
 /// A [`KernelObserver`] that records nothing (the unobserved fast path).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
-impl KernelObserver for NullObserver {
-    fn is_noop(&self) -> bool {
-        true
-    }
-}
+impl KernelObserver for NullObserver {}
 
 /// One Poisson arrival source (an O–D pair, a (class, pair), a cell).
 #[derive(Debug, Clone, Copy)]
@@ -563,7 +499,7 @@ impl PartialEq for KernelOutcome {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     Arrival { source: u32 },
     Departure { call: u32, gen: u32 },
     Link { link: u32, up: bool },
@@ -786,81 +722,55 @@ impl KernelScratch {
 
 /// Warm-up-aware call counters and per-tally vectors, accumulated by
 /// the event handlers and assembled into a [`KernelOutcome`] exactly
-/// once at the end of a run. Shared with the sharded backend, where
-/// each shard accumulates its own `Counters` and the coordinator
-/// [`absorb`](Counters::absorb)s them — every field is additive.
+/// once at the end of a run.
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) offered: u64,
-    pub(crate) blocked: u64,
-    pub(crate) carried_primary: u64,
-    pub(crate) carried_alternate: u64,
-    pub(crate) dropped: u64,
-    pub(crate) tally_offered: Vec<u64>,
-    pub(crate) tally_blocked: Vec<u64>,
+struct Counters {
+    offered: u64,
+    blocked: u64,
+    carried_primary: u64,
+    carried_alternate: u64,
+    dropped: u64,
+    tally_offered: Vec<u64>,
+    tally_blocked: Vec<u64>,
 }
 
 impl Counters {
     /// Zeroed counters with `slots` tally entries.
-    pub(crate) fn new(slots: usize) -> Self {
+    fn new(slots: usize) -> Self {
         Self {
             tally_offered: vec![0; slots],
             tally_blocked: vec![0; slots],
             ..Self::default()
         }
     }
-
-    /// Adds `other` into `self` field-by-field (tally vectors must have
-    /// the same length).
-    pub(crate) fn absorb(&mut self, other: &Counters) {
-        self.offered += other.offered;
-        self.blocked += other.blocked;
-        self.carried_primary += other.carried_primary;
-        self.carried_alternate += other.carried_alternate;
-        self.dropped += other.dropped;
-        debug_assert_eq!(self.tally_offered.len(), other.tally_offered.len());
-        for (a, b) in self.tally_offered.iter_mut().zip(&other.tally_offered) {
-            *a += b;
-        }
-        for (a, b) in self.tally_blocked.iter_mut().zip(&other.tally_blocked) {
-            *a += b;
-        }
-    }
 }
 
 /// Everything [`run_loop`] needs besides the event queue, so the
-/// reference and calendar entry points share one reset path — and the
-/// unit the sharded backend replicates per shard: the event handlers
-/// ([`arrival`](LoopState::arrival), [`departure`](LoopState::departure),
-/// [`link_change`](LoopState::link_change)) are methods here so the
-/// oracle loop and every shard worker execute literally the same code.
+/// reference and calendar entry points share one reset path. The event
+/// handlers ([`arrival`](LoopState::arrival),
+/// [`departure`](LoopState::departure),
+/// [`link_change`](LoopState::link_change)) are methods here.
 #[derive(Debug, Default)]
-pub(crate) struct LoopState {
-    pub(crate) links: LinkOccupancy,
-    pub(crate) calls: CallTable,
-    pub(crate) index: LinkIndex,
+struct LoopState {
+    links: LinkOccupancy,
+    calls: CallTable,
+    index: LinkIndex,
     /// Time-weighted occupancy per link, for the utilization gauge.
-    pub(crate) occupancy: Vec<TimeWeighted>,
-    pub(crate) streams: Vec<RngStream>,
+    occupancy: Vec<TimeWeighted>,
+    streams: Vec<RngStream>,
     /// The path of the call currently being torn down or departing.
-    pub(crate) path_buf: Vec<Link>,
+    path_buf: Vec<Link>,
     /// Handles drained from a failed link's index entry.
-    pub(crate) torn: Vec<(u32, u32)>,
-    /// Links whose occupancy changed since the sharded backend's last
-    /// barrier (duplicates allowed; drained and deduplicated there).
-    /// Empty unless `track_dirty` — the oracle never pays for it.
-    pub(crate) dirty: Vec<Link>,
-    /// Whether the event handlers append touched links to `dirty`.
-    pub(crate) track_dirty: bool,
+    torn: Vec<(u32, u32)>,
 }
 
 impl LoopState {
     /// Resets every piece of per-replication state from `spec`,
     /// recycling allocations: link occupancies and up/down flags, the
-    /// call table, the link index, the per-link time-weighted gauges,
-    /// and the dirty-link log. RNG streams are cleared here and rebuilt
+    /// call table, the link index and the per-link time-weighted
+    /// gauges. RNG streams are cleared here and rebuilt
     /// by [`seed_sources`](LoopState::seed_sources).
-    pub(crate) fn prepare(&mut self, spec: &KernelSpec<'_>) {
+    fn prepare(&mut self, spec: &KernelSpec<'_>) {
         self.links.reset(spec.capacities);
         for &l in spec.static_down {
             self.links.set_down(l);
@@ -876,7 +786,6 @@ impl LoopState {
         self.occupancy
             .resize(self.links.num_links(), initial_occupancy);
         self.streams.clear();
-        self.dirty.clear();
     }
 
     /// Books the spec's `initial_occupancy` as real calls at `t = 0`:
@@ -888,7 +797,7 @@ impl LoopState {
     /// with zero seeded units are untouched, which makes an all-zero
     /// warm start byte-identical to a cold one (observer stream
     /// included).
-    pub(crate) fn seed_warm_start<O, Q>(
+    fn seed_warm_start<O, Q>(
         &mut self,
         spec: &KernelSpec<'_>,
         queue: &mut Q,
@@ -931,24 +840,14 @@ impl LoopState {
             let occ = self.links.occupancy(l);
             self.occupancy[l].record(0.0, f64::from(occ));
             observer.occupancy_changed(0.0, l, occ);
-            if self.track_dirty {
-                self.dirty.push(l);
-            }
         }
         metrics.observe_concurrent_calls(self.calls.live());
     }
 
-    /// Builds the per-source RNG streams (drawing every source's first
-    /// inter-arrival gap, so streams advance identically however the
-    /// sources are partitioned) and schedules the first arrival of each
-    /// source that `owns` — the oracle owns all of them; a shard worker
-    /// or the shard coordinator owns a subset.
-    pub(crate) fn seed_sources<Q: EventSchedule<Event>>(
-        &mut self,
-        spec: &KernelSpec<'_>,
-        queue: &mut Q,
-        owns: impl Fn(usize) -> bool,
-    ) {
+    /// Builds the per-source RNG streams, drawing every source's first
+    /// inter-arrival gap, and schedules each first arrival that falls
+    /// inside the window.
+    fn seed_sources<Q: EventSchedule<Event>>(&mut self, spec: &KernelSpec<'_>, queue: &mut Q) {
         let config = &spec.config;
         let end = config.warmup + config.horizon;
         let factory = StreamFactory::new(config.seed);
@@ -960,7 +859,7 @@ impl LoopState {
             let mut stream = factory.stream(source.stream);
             let first = stream.exp(source.rate);
             self.streams.push(stream);
-            if owns(i) && first < end {
+            if first < end {
                 queue.schedule(first, Event::Arrival { source: i as u32 });
             }
         }
@@ -971,7 +870,7 @@ impl LoopState {
     /// the selector, and books or blocks — exactly the historical
     /// arrival arm of the event loop.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn arrival<'p, A, R, O, Q>(
+    fn arrival<'p, A, R, O, Q>(
         &mut self,
         now: f64,
         source: u32,
@@ -1017,9 +916,6 @@ impl LoopState {
                 for &l in path {
                     self.occupancy[l].record(now, f64::from(self.links.occupancy(l)));
                     observer.occupancy_changed(now, l, self.links.occupancy(l));
-                    if self.track_dirty {
-                        self.dirty.push(l);
-                    }
                 }
                 let (id, gen) = self.calls.insert(path, s.bandwidth);
                 self.index.add(path, id, gen);
@@ -1045,21 +941,13 @@ impl LoopState {
     /// Handles one departure event for call handle `(call, gen)` —
     /// exactly the historical departure arm (stale handles from
     /// outage teardowns are observed and dropped).
-    pub(crate) fn departure<O: KernelObserver>(
-        &mut self,
-        now: f64,
-        call: u32,
-        gen: u32,
-        observer: &mut O,
-    ) {
+    fn departure<O: KernelObserver>(&mut self, now: f64, call: u32, gen: u32, observer: &mut O) {
         let Self {
             links,
             calls,
             index,
             occupancy,
             path_buf,
-            dirty,
-            track_dirty,
             ..
         } = self;
         // A call torn down by a failure leaves a stale departure; the
@@ -1072,9 +960,6 @@ impl LoopState {
                 occupancy[l].record(now, f64::from(links.occupancy(l)));
                 observer.occupancy_changed(now, l, links.occupancy(l));
                 index.remove_one(l, calls);
-                if *track_dirty {
-                    dirty.push(l);
-                }
             }
         } else {
             observer.departure(now, call, gen, true);
@@ -1083,10 +968,8 @@ impl LoopState {
 
     /// Handles one link state change — exactly the historical link
     /// arm: a repair just raises the flag; a failure tears down every
-    /// in-progress call over the link via the link index. Returns the
-    /// number of calls torn down (the sharded backend needs it to
-    /// account the coordinator's concurrent-call gauge).
-    pub(crate) fn link_change<O: KernelObserver>(
+    /// in-progress call over the link via the link index.
+    fn link_change<O: KernelObserver>(
         &mut self,
         now: f64,
         link: Link,
@@ -1094,11 +977,11 @@ impl LoopState {
         warmup: f64,
         observer: &mut O,
         counters: &mut Counters,
-    ) -> usize {
+    ) {
         observer.link_change(now, link as u32, up);
         if up {
             self.links.set_up(link);
-            return 0;
+            return;
         }
         self.links.set_down(link);
         let Self {
@@ -1108,14 +991,11 @@ impl LoopState {
             occupancy,
             path_buf,
             torn,
-            dirty,
-            track_dirty,
             ..
         } = self;
         // Tear down calls in progress over the failed link — only that
         // link's entries, not the whole call table.
         index.drain_into(link, torn);
-        let mut torn_down = 0;
         for &(id, gen) in torn.iter() {
             let Some(bandwidth) = calls.take_into(id, gen, path_buf) else {
                 continue;
@@ -1128,22 +1008,16 @@ impl LoopState {
                 if l != link {
                     index.remove_one(l, calls);
                 }
-                if *track_dirty {
-                    dirty.push(l);
-                }
             }
             if now >= warmup {
                 counters.dropped += 1;
             }
-            torn_down += 1;
         }
-        torn_down
     }
 }
 
-/// Panics on inconsistent clock configuration; shared by the oracle
-/// loop and the sharded backend so both reject a bad spec identically.
-pub(crate) fn validate_config(config: &KernelConfig) {
+/// Panics on inconsistent clock configuration.
+fn validate_config(config: &KernelConfig) {
     // A zero horizon is legal (warm-start tests freeze the seeded state
     // by running no window at all); only negative durations are not.
     assert!(
@@ -1157,7 +1031,7 @@ pub(crate) fn validate_config(config: &KernelConfig) {
 
 /// Schedules every timed link failure/repair inside the window into
 /// `queue`.
-pub(crate) fn seed_link_events<Q: EventSchedule<Event>>(spec: &KernelSpec<'_>, queue: &mut Q) {
+fn seed_link_events<Q: EventSchedule<Event>>(spec: &KernelSpec<'_>, queue: &mut Q) {
     let end = spec.config.warmup + spec.config.horizon;
     for ev in spec.link_events {
         if ev.at < end {
@@ -1282,9 +1156,8 @@ where
 
     let mut metrics = EngineMetrics::default();
     state.prepare(spec);
-    state.track_dirty = false;
     state.seed_warm_start(spec, queue, observer, &mut metrics);
-    state.seed_sources(spec, queue, |_| true);
+    state.seed_sources(spec, queue);
     seed_link_events(spec, queue);
     if let Some(interval) = config.tick_interval {
         if interval < end {
@@ -1322,16 +1195,14 @@ where
                 &mut metrics,
             ),
             Event::Departure { call, gen } => state.departure(now, call, gen, observer),
-            Event::Link { link, up } => {
-                state.link_change(
-                    now,
-                    link as usize,
-                    up,
-                    config.warmup,
-                    observer,
-                    &mut counters,
-                );
-            }
+            Event::Link { link, up } => state.link_change(
+                now,
+                link as usize,
+                up,
+                config.warmup,
+                observer,
+                &mut counters,
+            ),
             Event::Tick => {
                 selector.tick(now, admission);
                 let interval = config

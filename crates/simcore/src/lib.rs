@@ -30,9 +30,6 @@
 //!   [`kernel::AdmissionPolicy`] and a [`kernel::RouteSelector`].
 //! * [`pool`] — the bounded worker pool for multi-seed replication
 //!   fan-out with positionally deterministic results.
-//! * [`shard`] — intra-replication parallelism: the kernel's links
-//!   partitioned across worker threads under conservative time-window
-//!   synchronization, byte-identical to the single-threaded oracle.
 //! * [`metrics`] — engine observability gauges (event counts, queue and
 //!   call-table peaks, per-link utilization, wall clock) carried on every
 //!   replication result.
@@ -49,7 +46,6 @@ pub mod metrics;
 pub mod pool;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod timeweighted;
 
@@ -58,5 +54,4 @@ pub use metrics::EngineMetrics;
 pub use pool::{pool_run, pool_run_with, ProgressObserver};
 pub use queue::{EventQueue, EventSchedule};
 pub use rng::{RngStream, StreamFactory};
-pub use shard::{run_sharded, Partition, ShardSpec};
 pub use stats::{BlockingSummary, Replications, RunningStats, WarmupCounter};

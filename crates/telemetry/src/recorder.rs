@@ -32,15 +32,6 @@ pub enum ArrivalOutcome {
 /// simulation (the engine's results are required to be byte-identical
 /// under any recorder).
 pub trait Recorder {
-    /// True when every hook is a no-op. Parallel simulation backends
-    /// skip hook buffering entirely for inert recorders; a live
-    /// recorder's hooks are buffered per shard and replayed at the
-    /// synchronization barriers in global event order (recorder hooks
-    /// carry no shard-local identifiers, so the replayed stream equals
-    /// the serial one). Defaults to `false`; only recorders that
-    /// override no methods may set it to `true`.
-    const IS_NOOP: bool = false;
-
     /// An event was popped and processed; `queue_len` is the pending
     /// count after processing.
     fn event(&mut self, now: f64, queue_len: usize) {
@@ -98,9 +89,7 @@ pub trait Recorder {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
-impl Recorder for NullRecorder {
-    const IS_NOOP: bool = true;
-}
+impl Recorder for NullRecorder {}
 
 /// Full time-resolved telemetry of one run — or, after merging, of many
 /// replications of the same scenario.

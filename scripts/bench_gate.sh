@@ -3,11 +3,7 @@
 # compare the fresh report against the committed baseline
 # (BENCH_kernel.json at the repo root). Fails when any workload's
 # calendar-queue events/sec regressed more than the tolerance (default
-# 15%; override with BENCH_GATE_TOLERANCE=0.20 etc.). The sharded
-# backend's scaling curve is gated the same way, point by point; its
-# absolute bar — at least 2x events/sec at 4 shards — only applies when
-# the fresh run had 4 or more cores (the report's `cores` field), so a
-# single-core runner records the curve without failing the gate.
+# 15%; override with BENCH_GATE_TOLERANCE=0.20 etc.).
 #
 # Timing on shared CI runners is noisy, so CI wires this stage as
 # non-blocking (continue-on-error) — a red gate is a prompt to look, not

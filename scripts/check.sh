@@ -6,8 +6,8 @@
 #   scripts/check.sh [stage ...]
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
-# telemetry-overhead | parity | shard-parity | metastability-smoke |
-# largemesh-smoke | altrouted-smoke | bench-smoke | all (default).
+# telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
+# altrouted-smoke | bench-smoke | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -157,39 +157,6 @@ EOF
   parity adaptive  adaptive  "$tmpdir/parity.json"
   parity multirate multirate "$tmpdir/parity.json"
   parity signaling signaling "$tmpdir/parity.json"
-}
-
-# Shard parity: the sharded kernel backend must be a pure scheduling
-# detail. The dedicated conformance test pins byte-parity against the
-# serial oracle (golden traces, both built-in partitions, and random
-# instances under random partitions); on top of that, fixed-seed CLI
-# runs with and without --shards must render identical output for the
-# engine and multirate frontends.
-stage_shard_parity() {
-  cat > "$tmpdir/shard.json" <<'EOF'
-{
-  "topology": { "builtin": "quadrangle" },
-  "traffic": { "uniform": 90.0 },
-  "policies": ["single-path", "uncontrolled", "controlled"],
-  "max_hops": 3,
-  "warmup": 5.0,
-  "horizon": 40.0,
-  "seeds": 4,
-  "base_seed": 7
-}
-EOF
-  cargo test --release -q -p altroute-conformance --test shard_parity
-  shard_parity() { # <name> <cli args...>: serial vs --shards 3, identical stdout
-    local name="$1"; shift
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" > "$tmpdir/shard_$name.serial"
-    cargo run --release -q -p altroute-experiments --bin altroute_cli -- \
-      "$@" --shards 3 > "$tmpdir/shard_$name.sharded"
-    cmp "$tmpdir/shard_$name.serial" "$tmpdir/shard_$name.sharded"
-    grep -q '0\.' "$tmpdir/shard_$name.serial" # a blocking probability rendered
-  }
-  shard_parity simulate  simulate  "$tmpdir/shard.json"
-  shard_parity multirate multirate "$tmpdir/shard.json"
 }
 
 # Metastability smoke: the four-arm hysteresis demonstration must run
@@ -351,8 +318,7 @@ stage_bench_smoke() {
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
-  shard-parity metastability-smoke largemesh-smoke altrouted-smoke
-  bench-smoke
+  metastability-smoke largemesh-smoke altrouted-smoke bench-smoke
 )
 
 run_stage() {
@@ -364,7 +330,6 @@ run_stage() {
     telemetry)   stage_telemetry ;;
     telemetry-overhead) stage_telemetry_overhead ;;
     parity)      stage_parity ;;
-    shard-parity) stage_shard_parity ;;
     metastability-smoke) stage_metastability_smoke ;;
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;
