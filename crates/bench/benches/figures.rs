@@ -54,6 +54,7 @@ fn fig3_quadrangle(c: &mut Criterion) {
             )
         })
     });
+    g.bench_function("erlang_bound", |b| b.iter(|| exp.erlang_bound()));
     g.finish();
 }
 
@@ -98,7 +99,18 @@ fn fig6_nsfnet(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("erlang_bound", |b| b.iter(|| exp.erlang_bound()));
+    // One bound per load of the Fig. 6 sweep, as the figure computes them.
+    let sweep: Vec<Experiment> = (2..=14)
+        .map(|load| {
+            let traffic = nsfnet_nominal_traffic()
+                .traffic
+                .scaled(f64::from(load) / 10.0);
+            Experiment::new(topologies::nsfnet(100), traffic).unwrap()
+        })
+        .collect();
+    g.bench_function("erlang_bound_sweep", |b| {
+        b.iter(|| sweep.iter().map(Experiment::erlang_bound).sum::<f64>())
+    });
     g.finish();
 }
 

@@ -126,6 +126,7 @@ use altroute_experiments::{
     ControlledConfig, FeedConfig, Heartbeat, LargeMeshConfig, MetastabilityConfig, Series, Table,
 };
 use altroute_json::{obj, Value};
+use altroute_netgraph::cuts::MAX_CUT_NODES;
 use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::topologies;
@@ -1010,13 +1011,15 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
     if let Some(dir) = &flags.telemetry {
         write_telemetry_files(dir, path, &snapshots)?;
     }
+    // The cut enumeration stops at MAX_CUT_NODES; larger networks have no bound.
+    let bound = (exp.topology().num_nodes() <= MAX_CUT_NODES).then(|| exp.erlang_bound());
     if flags.metrics_json {
         let doc = metrics_document(
             path,
             vec![
                 (
                     "erlang_cut_set_lower_bound".to_string(),
-                    Value::from(exp.erlang_bound()),
+                    bound.map_or(Value::Null, Value::from),
                 ),
                 ("seeds".to_string(), Value::from(params.seeds)),
                 ("warmup".to_string(), Value::from(params.warmup)),
@@ -1029,7 +1032,10 @@ fn cmd_simulate(path: &str, flags: &Flags) -> Result<(), String> {
         println!("{}", table.render());
         println!(
             "erlang cut-set lower bound: {}",
-            fmt_prob(exp.erlang_bound())
+            bound.map_or_else(
+                || format!("n/a (more than {MAX_CUT_NODES} nodes)"),
+                fmt_prob
+            )
         );
     }
     if let Some(server) = server {

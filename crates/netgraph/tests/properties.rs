@@ -1,12 +1,86 @@
 //! Property-based tests of the graph substrate on randomized meshes.
 
-use altroute_netgraph::cuts::{cut_load, erlang_bound};
+use altroute_netgraph::cuts::{cut_load, erlang_bound, ErlangBound};
+use altroute_netgraph::estimate::nsfnet_nominal_traffic;
+use altroute_netgraph::graph::Topology;
 use altroute_netgraph::paths::{
     dijkstra, loop_free_paths, min_hop_path, min_hop_primaries, yen_k_shortest,
 };
-use altroute_netgraph::topologies::{power_law_mesh, random_mesh, srlg_groups};
+use altroute_netgraph::topologies::{
+    full_mesh, nsfnet, power_law_mesh, quadrangle, random_mesh, srlg_groups,
+};
 use altroute_netgraph::traffic::{min_hop_primary_loads, TrafficMatrix};
+use altroute_teletraffic::bound::cut_bound;
 use proptest::prelude::*;
+
+/// The Erlang bound as a plain maximum over every cut (node 0 outside),
+/// built only from the public per-cut functions. Keeps the first strict
+/// improvement, so ties go to the lowest mask.
+fn brute_force_erlang_bound(topo: &Topology, traffic: &TrafficMatrix) -> ErlangBound {
+    let total = traffic.total();
+    let mut best = ErlangBound {
+        bound: 0.0,
+        cut_mask: 0,
+    };
+    for rest in 1..1u32 << (topo.num_nodes() - 1) {
+        let mask = rest << 1;
+        let b = cut_bound(cut_load(topo, traffic, mask), total);
+        if b > best.bound {
+            best = ErlangBound {
+                bound: b,
+                cut_mask: mask,
+            };
+        }
+    }
+    best
+}
+
+/// `erlang_bound` against the brute force: the same bits, the same cut.
+fn assert_matches_brute_force(topo: &Topology, traffic: &TrafficMatrix) {
+    let fast = erlang_bound(topo, traffic);
+    let slow = brute_force_erlang_bound(topo, traffic);
+    assert_eq!(
+        fast.bound.to_bits(),
+        slow.bound.to_bits(),
+        "bound {} vs brute force {}",
+        fast.bound,
+        slow.bound
+    );
+    assert_eq!(fast.cut_mask, slow.cut_mask, "cut at bound {}", fast.bound);
+}
+
+/// A random network of `n` nodes from `seed`. Each ordered pair gets a
+/// one-way link with probability 1/2 (capacity 1–100), so many cuts have
+/// no capacity in one direction. Each pair offers traffic with
+/// probability `density`, log-uniform over 0.01–200 Erlangs.
+fn random_network(n: usize, density: f64, seed: u64) -> (Topology, TrafficMatrix) {
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut topo = Topology::new();
+    topo.add_nodes(n);
+    let mut traffic = TrafficMatrix::zero(n);
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                continue;
+            }
+            if next() < 0.5 {
+                topo.add_link(i, j, 1 + (next() * 100.0) as u32);
+            }
+            if next() < density {
+                traffic.set(i, j, 0.01 * 20_000f64.powf(next()));
+            }
+        }
+    }
+    (topo, traffic)
+}
 
 /// Strategy: a connected random mesh of 4–10 nodes.
 fn mesh() -> impl Strategy<Value = altroute_netgraph::graph::Topology> {
@@ -200,5 +274,58 @@ proptest! {
         prop_assert!((a.traffic_out - b.traffic_in).abs() < 1e-9);
         let eb = erlang_bound(&topo, &m);
         prop_assert!((0.0..=1.0).contains(&eb.bound));
+    }
+
+    /// The branch-and-bound Erlang bound equals the plain maximum over
+    /// every cut, bit for bit and cut for cut, on random networks of 2–12
+    /// nodes with sparse traffic over five orders of magnitude.
+    #[test]
+    fn erlang_bound_matches_brute_force_on_random_networks(
+        n in 2usize..=12,
+        density in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let (topo, traffic) = random_network(n, density, seed);
+        assert_matches_brute_force(&topo, &traffic);
+        assert_matches_brute_force(&topo, &TrafficMatrix::zero(n));
+    }
+
+    /// Uniform traffic on a full mesh makes every cut of the same size
+    /// tie; the lowest mask must still win.
+    #[test]
+    fn erlang_bound_ties_go_to_the_lowest_mask(
+        n in 2usize..=10,
+        capacity in 1u32..=200,
+        per_pair in 0.01f64..200.0,
+    ) {
+        assert_matches_brute_force(&full_mesh(n, capacity), &TrafficMatrix::uniform(n, per_pair));
+    }
+
+    /// Nudging one demand of a tied full mesh makes the cuts it crosses
+    /// beat their ties by a hair, late in mask order: the pruning test
+    /// must not skip them.
+    #[test]
+    fn erlang_bound_finds_a_near_tie_late_in_mask_order(
+        n in 3usize..=9,
+        capacity in 1u32..=200,
+        per_pair in 0.01f64..200.0,
+        nudge in 1e-12f64..1e-6,
+    ) {
+        let mut traffic = TrafficMatrix::uniform(n, per_pair);
+        traffic.set(n - 1, 0, per_pair * (1.0 + nudge));
+        assert_matches_brute_force(&full_mesh(n, capacity), &traffic);
+    }
+}
+
+#[test]
+fn erlang_bound_matches_brute_force_on_the_paper_networks() {
+    let topo = nsfnet(100);
+    let nominal = nsfnet_nominal_traffic().traffic;
+    for load in 1..=30 {
+        assert_matches_brute_force(&topo, &nominal.scaled(f64::from(load) / 10.0));
+    }
+    // Fig. 3's quadrangle sweep, 40–110 Erlangs per pair.
+    for load in (8..=22).map(|i| f64::from(i) * 5.0) {
+        assert_matches_brute_force(&quadrangle(), &TrafficMatrix::uniform(4, load));
     }
 }

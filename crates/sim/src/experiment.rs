@@ -342,6 +342,10 @@ impl Experiment {
 
     /// The Erlang cut-set lower bound on average blocking for this
     /// instance. Statically failed links contribute no capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has more than [`cuts::MAX_CUT_NODES`] nodes.
     pub fn erlang_bound(&self) -> f64 {
         let topo = if self.failures.statically_down().is_empty() {
             self.topo.clone()

@@ -7,7 +7,7 @@
 #
 # Stages: fmt | clippy | test | conformance | telemetry |
 # telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
-# altrouted-smoke | bench-smoke | all (default).
+# altrouted-smoke | bench-smoke | perfbench-pins | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
 # containing this script.
 #
@@ -313,12 +313,38 @@ stage_bench_smoke() {
     --validate "$tmpdir/bench_quick.json"
 }
 
+# Perfbench pins: the benchmark's own tests (pinned seed-1 digests,
+# the outage_churn baseline) and a one-second run of every workload in
+# BENCHMARK.json, each of which must report `"correct": true` and no
+# failed operations on its last line. The nsfnet_fig6 digest covers the
+# Erlang-bound column, so this is also the end-to-end guard for the cut
+# enumeration. Builds into .bench_build, the benchmark's own default,
+# never under perfbench/.
+stage_perfbench_pins() {
+  local bench_target=.bench_build workload
+  CARGO_TARGET_DIR="$bench_target" \
+    cargo test --release -q --manifest-path perfbench/Cargo.toml
+  for workload in $(python3 -c \
+      'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$tmpdir/perfbench_$workload.out"
+    tail -n 1 "$tmpdir/perfbench_$workload.out" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s" % (sys.argv[1], result["correct"], result["failed"]))
+' "$workload"
+    echo "perfbench $workload: correct, 0 failed"
+  done
+}
+
 # Every selectable stage, in the order `all` runs them. The case arm,
 # the unknown-stage diagnostic, and `all` are all derived from this
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
   fmt clippy test conformance telemetry telemetry-overhead parity
   metastability-smoke largemesh-smoke altrouted-smoke bench-smoke
+  perfbench-pins
 )
 
 run_stage() {
@@ -334,6 +360,7 @@ run_stage() {
     largemesh-smoke) stage_largemesh_smoke ;;
     altrouted-smoke) stage_altrouted_smoke ;;
     bench-smoke) stage_bench_smoke ;;
+    perfbench-pins) stage_perfbench_pins ;;
     all)
       local summary="" s t0 t1
       for s in "${STAGES[@]}"; do
