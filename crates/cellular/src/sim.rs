@@ -14,15 +14,15 @@
 //! policies are exactly the kernel's admission policies — uncontrolled
 //! capacity checks or trunk reservation with the per-cell Eq.-15 levels.
 //! `carried_alternate` therefore *is* the borrow count. Replications fan
-//! out over [`pool_run`] and any [`Recorder`] can observe a run.
+//! out over [`pool_record`] and any [`Recorder`] can observe a run.
 
 use crate::grid::CellGrid;
 use crate::policy::{cell_protection_levels, BorrowPolicy};
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkOccupancy,
-    RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
+    Recording, RouteSelector, Selection, Tier, TrunkReservation, Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run_with};
+use altroute_simcore::pool::{default_workers, pool_record};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 
@@ -178,29 +178,7 @@ pub fn run_cellular_with_workers(
     params: &CellularParams,
     workers: usize,
 ) -> CellularResult {
-    validate(grid, loads, params);
-    let protection = cell_protection_levels(loads, grid.capacity());
-    let tables = BorrowTables::new(grid);
-    let per_seed = pool_run_with(
-        params.seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            run_one(
-                grid,
-                loads,
-                policy,
-                &protection,
-                &tables,
-                params,
-                params.base_seed + i as u64,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    summarize(policy, per_seed)
+    replicate(grid, loads, policy, params, workers, || NullRecorder).0
 }
 
 /// As [`run_cellular`], but every replication additionally records
@@ -218,45 +196,113 @@ pub fn run_cellular_telemetry(
     params: &CellularParams,
     window: f64,
 ) -> (CellularResult, RunTelemetry) {
+    run_cellular_telemetry_with_workers(grid, loads, policy, params, window, default_workers())
+}
+
+/// As [`run_cellular_telemetry`] with an explicit worker count. Results
+/// and the snapshot's deterministic fields are identical for every
+/// `workers` value.
+///
+/// # Panics
+///
+/// As [`run_cellular_telemetry`]; additionally if `workers == 0`.
+pub fn run_cellular_telemetry_with_workers(
+    grid: &CellGrid,
+    loads: &[f64],
+    policy: BorrowPolicy,
+    params: &CellularParams,
+    window: f64,
+    workers: usize,
+) -> (CellularResult, RunTelemetry) {
+    let capacities = vec![grid.capacity(); grid.num_cells()];
+    let (result, recorded) = replicate(grid, loads, policy, params, workers, || {
+        RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone())
+    });
+    (result, RunTelemetry::merged(recorded))
+}
+
+/// The body every entry point shares: `params.seeds` kernel
+/// replications over `workers` workers, each observed by a fresh
+/// recorder from `recorder`; recorders come back in seed order. Each
+/// loaded cell is one arrival source (stream = tag = tally = cell id).
+fn replicate<R: Recorder + Send>(
+    grid: &CellGrid,
+    loads: &[f64],
+    policy: BorrowPolicy,
+    params: &CellularParams,
+    workers: usize,
+    recorder: impl Fn() -> R + Sync,
+) -> (CellularResult, Vec<R>) {
     validate(grid, loads, params);
     let protection = cell_protection_levels(loads, grid.capacity());
     let tables = BorrowTables::new(grid);
     let capacities = vec![grid.capacity(); grid.num_cells()];
-    let recorded = pool_run_with(
+    let sources: Vec<ArrivalSource> = loads
+        .iter()
+        .enumerate()
+        .filter(|&(_, &load)| load > 0.0)
+        .map(|(cell, &load)| ArrivalSource {
+            stream: cell as u64,
+            src: cell,
+            dst: cell,
+            rate: load,
+            bandwidth: 1,
+            tag: cell as u32,
+            tally: cell as u32,
+        })
+        .collect();
+    let base = KernelConfig {
+        warmup: params.warmup,
+        horizon: params.horizon,
+        seed: params.base_seed,
+        draw_pick: false,
+        tick_interval: None,
+        tally_slots: grid.num_cells(),
+    };
+    let (per_seed, recorded) = pool_record(
         params.seeds as usize,
-        default_workers(),
+        workers,
         None,
         KernelScratch::new,
-        |scratch, i| {
-            let mut telemetry =
-                RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-            let counts = run_one(
+        recorder,
+        |scratch, i, recorder| {
+            let spec = KernelSpec {
+                config: KernelConfig {
+                    seed: base.seed + i as u64,
+                    ..base
+                },
+                capacities: &capacities,
+                static_down: &[],
+                sources: &sources,
+                link_events: &[],
+                initial_occupancy: &[],
+            };
+            let mut selector = BorrowSelector {
                 grid,
-                loads,
-                policy,
-                &protection,
-                &tables,
-                params,
-                params.base_seed + i as u64,
-                &mut telemetry,
-                scratch,
-            );
-            (counts, telemetry)
+                tables: &tables,
+                borrowing: policy != BorrowPolicy::NoBorrowing,
+            };
+            let mut observer = Recording(recorder);
+            let outcome = match policy {
+                BorrowPolicy::Controlled => kernel::run_pooled(
+                    &spec,
+                    &mut TrunkReservation::new(protection.clone()),
+                    &mut selector,
+                    &mut observer,
+                    scratch,
+                ),
+                BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => kernel::run_pooled(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut selector,
+                    &mut observer,
+                    scratch,
+                ),
+            };
+            (outcome.offered, outcome.blocked, outcome.carried_alternate)
         },
     );
-    let mut merged: Option<RunTelemetry> = None;
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    for (counts, telemetry) in recorded {
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-        per_seed.push(counts);
-    }
-    (
-        summarize(policy, per_seed),
-        merged.expect("at least one replication"),
-    )
+    (summarize(policy, per_seed), recorded)
 }
 
 fn validate(grid: &CellGrid, loads: &[f64], params: &CellularParams) {
@@ -275,144 +321,6 @@ fn summarize(policy: BorrowPolicy, per_seed: Vec<(u64, u64, u64)>) -> CellularRe
         blocking,
         per_seed,
     }
-}
-
-/// Forwards the kernel's telemetry-relevant hooks to a [`Recorder`] (the
-/// cellular simulator has no trace-sink format).
-struct RecorderObserver<'a, R> {
-    recorder: &'a mut R,
-}
-
-impl<R: Recorder> kernel::KernelObserver for RecorderObserver<'_, R> {
-    fn arrival_routed(
-        &mut self,
-        now: f64,
-        _tag: u32,
-        tier: Tier,
-        links: &[usize],
-        hold: f64,
-        measured: bool,
-    ) {
-        let outcome = match tier {
-            Tier::Primary => altroute_telemetry::ArrivalOutcome::Primary,
-            Tier::Alternate => altroute_telemetry::ArrivalOutcome::Alternate,
-        };
-        self.recorder
-            .arrival(now, measured, outcome, links.len() as u8, hold);
-    }
-
-    fn arrival_blocked(&mut self, now: f64, _tag: u32, hold: f64, measured: bool) {
-        self.recorder.arrival(
-            now,
-            measured,
-            altroute_telemetry::ArrivalOutcome::Blocked,
-            0,
-            hold,
-        );
-    }
-
-    fn occupancy_changed(&mut self, now: f64, link: usize, occupancy: u32) {
-        self.recorder.occupancy(now, link as u32, occupancy);
-    }
-
-    fn departure(&mut self, now: f64, _call: u32, _gen: u32, stale: bool) {
-        self.recorder.departure(now, stale);
-    }
-
-    fn teardown(&mut self, now: f64, _call: u32, _gen: u32, measured: bool) {
-        self.recorder.teardown(now, measured);
-    }
-
-    fn link_change(&mut self, now: f64, link: u32, up: bool) {
-        self.recorder.link_state(now, link, up);
-    }
-
-    fn event_processed(&mut self, now: f64, queue_len: usize) {
-        self.recorder.event(now, queue_len);
-    }
-}
-
-/// The kernel's static description of one cellular replication: one
-/// arrival source per loaded cell (stream = tag = tally = cell id).
-fn build_parts(
-    grid: &CellGrid,
-    loads: &[f64],
-    params: &CellularParams,
-    seed: u64,
-) -> (Vec<u32>, Vec<ArrivalSource>, KernelConfig) {
-    let capacities = vec![grid.capacity(); grid.num_cells()];
-    let sources: Vec<ArrivalSource> = loads
-        .iter()
-        .enumerate()
-        .filter(|&(_, &load)| load > 0.0)
-        .map(|(cell, &load)| ArrivalSource {
-            stream: cell as u64,
-            src: cell,
-            dst: cell,
-            rate: load,
-            bandwidth: 1,
-            tag: cell as u32,
-            tally: cell as u32,
-        })
-        .collect();
-    let config = KernelConfig {
-        warmup: params.warmup,
-        horizon: params.horizon,
-        seed,
-        draw_pick: false,
-        tick_interval: None,
-        tally_slots: grid.num_cells(),
-    };
-    (capacities, sources, config)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one<R: Recorder>(
-    grid: &CellGrid,
-    loads: &[f64],
-    policy: BorrowPolicy,
-    protection: &[u32],
-    tables: &BorrowTables,
-    params: &CellularParams,
-    seed: u64,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> (u64, u64, u64) {
-    let (capacities, sources, config) = build_parts(grid, loads, params, seed);
-    let spec = KernelSpec {
-        config,
-        capacities: &capacities,
-        static_down: &[],
-        sources: &sources,
-        link_events: &[],
-        initial_occupancy: &[],
-    };
-    let mut selector = BorrowSelector {
-        grid,
-        tables,
-        borrowing: policy != BorrowPolicy::NoBorrowing,
-    };
-    let mut observer = RecorderObserver {
-        recorder: &mut *recorder,
-    };
-    let outcome = match policy {
-        BorrowPolicy::Controlled => kernel::run_pooled(
-            &spec,
-            &mut TrunkReservation::new(protection.to_vec()),
-            &mut selector,
-            &mut observer,
-            scratch,
-        ),
-        BorrowPolicy::NoBorrowing | BorrowPolicy::Uncontrolled => kernel::run_pooled(
-            &spec,
-            &mut Uncontrolled,
-            &mut selector,
-            &mut observer,
-            scratch,
-        ),
-    };
-    recorder.finish(params.warmup + params.horizon);
-    (outcome.offered, outcome.blocked, outcome.carried_alternate)
 }
 
 #[cfg(test)]
@@ -481,6 +389,28 @@ mod tests {
             telemetry.offered,
             r.per_seed.iter().map(|s| s.0).sum::<u64>()
         );
+    }
+
+    #[test]
+    fn telemetry_and_results_match_across_worker_counts() {
+        let grid = CellGrid::new(3, 3, 10);
+        let loads = vec![8.0; 9];
+        let run = |workers| {
+            run_cellular_telemetry_with_workers(
+                &grid,
+                &loads,
+                BorrowPolicy::Controlled,
+                &quick(),
+                5.0,
+                workers,
+            )
+        };
+        let (one, one_telemetry) = run(1);
+        let (three, three_telemetry) = run(3);
+        assert_eq!(one.per_seed, three.per_seed);
+        assert_eq!(one.blocking, three.blocking);
+        assert_eq!(one_telemetry, three_telemetry);
+        assert_eq!(one_telemetry.replications, quick().seeds);
     }
 
     #[test]

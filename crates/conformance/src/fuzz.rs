@@ -50,8 +50,7 @@ use altroute_sim::multirate::{
     run_multirate_with_levels, run_multirate_with_workers, BandwidthClass, MultirateParams,
     MultiratePolicy, MultirateResult,
 };
-use altroute_sim::trace::NullTraceSink;
-use altroute_simcore::kernel::Uncontrolled;
+use altroute_simcore::kernel::{NullObserver, Uncontrolled};
 use altroute_simcore::rng::StreamFactory;
 use altroute_telemetry::NullRecorder;
 
@@ -245,7 +244,7 @@ pub fn fuzz_instances(master_seed: u64, count: usize) -> FuzzReport {
             &bod_config,
             &mut Uncontrolled,
             &mut bod_selector,
-            &mut NullTraceSink,
+            &mut NullObserver,
             &mut NullRecorder,
         );
         extra_runs += 1;

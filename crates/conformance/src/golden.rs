@@ -1,9 +1,9 @@
 //! Golden-trace recording and replay.
 //!
-//! Two fixed scenarios — the paper's Fig. 3 quadrangle and NSFNet — run
-//! through [`run_seed_traced`](altroute_sim::engine::run_seed_traced)
-//! with a [`BinaryTraceWriter`], and the resulting byte blobs are checked
-//! into `crates/conformance/golden/`. [`replay_check`] re-records a
+//! Three fixed scenarios — the paper's Fig. 3 quadrangle, NSFNet, and a
+//! best-of-d `K_6` mesh — run through [`run_replication`] with a
+//! [`BinaryTraceWriter`] as the kernel observer, and the resulting byte
+//! blobs are checked into `crates/conformance/golden/`. [`replay_check`] re-records a
 //! scenario and diffs it against the checked-in bytes: any change to
 //! event ordering, RNG stream layout, or admission logic surfaces as a
 //! divergence at a specific event index.
@@ -18,11 +18,11 @@ use altroute_netgraph::estimate::nsfnet_nominal_traffic;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_sim::engine::{
-    run_seed_pooled, run_seed_recorded, run_seed_traced, run_seed_warm, RunConfig, SeedResult,
+    run_replication, run_seed_pooled, run_seed_recorded, RunConfig, SeedResult, NAMED_POLICY,
 };
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{diff_traces, BinaryTraceWriter, TraceDiff};
-use altroute_simcore::kernel::KernelScratch;
+use altroute_simcore::kernel::{KernelScratch, NullObserver};
 use altroute_simcore::pool::pool_run_with;
 use altroute_telemetry::RunTelemetry;
 use std::path::PathBuf;
@@ -47,6 +47,22 @@ struct Scenario {
     warmup: f64,
     horizon: f64,
     seed: u64,
+}
+
+impl Scenario {
+    /// The engine configuration of replication `offset` (seed
+    /// `self.seed + offset`).
+    fn config(&self, offset: u64) -> RunConfig<'_> {
+        RunConfig {
+            plan: &self.plan,
+            policy: self.policy,
+            traffic: &self.traffic,
+            warmup: self.warmup,
+            horizon: self.horizon,
+            seed: self.seed + offset,
+            failures: &self.failures,
+        }
+    }
 }
 
 /// The checked-in golden scenarios.
@@ -154,16 +170,13 @@ pub fn record_scenario(name: &str, perturbation: Perturbation) -> Vec<u8> {
         s.plan = s.plan.with_protection_levels(bumped);
     }
     let mut writer = BinaryTraceWriter::new(s.seed, name);
-    run_seed_traced(
-        &RunConfig {
-            plan: &s.plan,
-            policy: s.policy,
-            traffic: &s.traffic,
-            warmup: s.warmup,
-            horizon: s.horizon,
-            seed: s.seed,
-            failures: &s.failures,
-        },
+    let mut scratch = KernelScratch::new();
+    run_replication(
+        &s.config(0),
+        &mut scratch,
+        &[],
+        None,
+        NAMED_POLICY,
         &mut writer,
     );
     writer.finish()
@@ -185,20 +198,7 @@ pub fn scenario_replications(name: &str, seeds: u32, workers: usize) -> Vec<Seed
         workers,
         None,
         KernelScratch::new,
-        |scratch, i| {
-            run_seed_pooled(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + i as u64,
-                    failures: &s.failures,
-                },
-                scratch,
-            )
-        },
+        |scratch, i| run_seed_pooled(&s.config(i as u64), scratch),
     )
 }
 
@@ -226,19 +226,18 @@ fn scenario_fill(s: &Scenario, fill_percent: u32) -> Vec<u32> {
 pub fn scenario_replications_warm(name: &str, seeds: u32, fill_percent: u32) -> Vec<SeedResult> {
     let s = scenario(name);
     let initial = scenario_fill(&s, fill_percent);
+    let mut scratch = KernelScratch::new();
     (0..seeds)
         .map(|i| {
-            run_seed_warm(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
+            let config = s.config(u64::from(i));
+            let mut observer = NullObserver;
+            run_replication(
+                &config,
+                &mut scratch,
                 &initial,
+                None,
+                NAMED_POLICY,
+                &mut observer,
             )
         })
         .collect()
@@ -271,18 +270,7 @@ pub fn scenario_replications_recorded(name: &str, seeds: u32) -> Vec<(SeedResult
     (0..seeds)
         .map(|i| {
             let mut telemetry = scenario_telemetry(&s);
-            let result = run_seed_recorded(
-                &RunConfig {
-                    plan: &s.plan,
-                    policy: s.policy,
-                    traffic: &s.traffic,
-                    warmup: s.warmup,
-                    horizon: s.horizon,
-                    seed: s.seed + u64::from(i),
-                    failures: &s.failures,
-                },
-                &mut telemetry,
-            );
+            let result = run_seed_recorded(&s.config(u64::from(i)), &mut telemetry);
             (result, telemetry)
         })
         .collect()

@@ -2,8 +2,9 @@
 //! discrete-event kernel, the golden scenarios (NSFNet and the Fig. 3
 //! quadrangle) must replay byte-identically — solo, and fanned out over
 //! any worker count — and every execution mode of one replication
-//! (fresh, pooled scratch, `BinaryHeap` reference queue) must agree on
-//! random instances under random failure schedules.
+//! (fresh, pooled scratch, `BinaryHeap` reference queue, traced,
+//! recorded, zero-fill warm start, explicit policy pair) must agree on
+//! random instances under random and SRLG failure schedules.
 
 use altroute_conformance::golden::{
     golden_names, replay_check, scenario_replications, scenario_replications_recorded,
@@ -11,10 +12,18 @@ use altroute_conformance::golden::{
 };
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
-use altroute_netgraph::topologies::random_instance;
-use altroute_sim::engine::{run_seed, run_seed_pooled, run_seed_reference, RunConfig};
+use altroute_core::select::TieredSelector;
+use altroute_netgraph::topologies::{random_instance, srlg_groups};
+use altroute_sim::engine::{
+    run_replication, run_seed, run_seed_pooled, run_seed_recorded, run_seed_reference,
+    run_seed_with_policy, RunConfig, NAMED_POLICY,
+};
 use altroute_sim::failures::FailureSchedule;
-use altroute_simcore::kernel::KernelScratch;
+use altroute_sim::trace::BinaryTraceWriter;
+use altroute_simcore::kernel::{
+    KernelScratch, NullObserver, Recording, TrunkReservation, Uncontrolled,
+};
+use altroute_telemetry::RunTelemetry;
 
 /// The checked-in golden traces — recorded by the pre-port engine — must
 /// replay without a single diverging byte through the kernel-backed one.
@@ -124,11 +133,40 @@ fn random_schedule(
     schedule
 }
 
+/// Adds one correlated outage to `schedule`: every link of a random
+/// SRLG group (shared conduit) goes down and comes back at the same
+/// instants, so the kernel sees runs of equal-time link events.
+fn with_srlg_outage(
+    draw: &mut impl FnMut() -> u64,
+    plan: &RoutingPlan,
+    end: f64,
+    mut schedule: FailureSchedule,
+) -> FailureSchedule {
+    let num_groups = (plan.topology().num_links() / 2).clamp(1, 3);
+    let groups = srlg_groups(plan.topology(), num_groups, draw());
+    let group = &groups[(draw() % groups.len() as u64) as usize];
+    let down_at = end * unit(draw);
+    let up_at = down_at + (end - down_at) * (0.05 + 0.9 * unit(draw));
+    for &link in group {
+        schedule = schedule.with_outage(link, down_at, up_at);
+    }
+    schedule
+}
+
 /// Hand-rolled property test: on random instances under random failure
-/// schedules (timed outages, and a static outage on half the
-/// instances), the fresh, pooled and reference-queue entries agree bit
-/// for bit — for the controlled policy and for the free (uncontrolled)
-/// one. One scratch is recycled across every pooled run.
+/// schedules (timed outages, plus a static outage on even instances and
+/// an SRLG group outage on odd ones), every execution mode of a
+/// replication agrees bit for bit with the fresh `run_seed` oracle — for
+/// the controlled policy and for the free (uncontrolled) one:
+///
+/// * the pooled entry (one scratch recycled across every pooled run) and
+///   the `BinaryHeap` reference queue;
+/// * traced runs, whose trace bytes must also match between a fresh and
+///   a recycled scratch;
+/// * recorded runs, whose `RunTelemetry` must match between the
+///   recorded shorthand and a trace-plus-recorder observer pair;
+/// * an explicit all-zero warm start;
+/// * the engine's own `(admission, selector)` pair passed explicitly.
 #[test]
 fn random_instances_agree_across_execution_modes_under_random_failures() {
     let mut draw = rng(0x5AA2_C0DE);
@@ -140,12 +178,17 @@ fn random_instances_agree_across_execution_modes_under_random_failures() {
         let inst = random_instance(inst_seed);
         let h = inst.max_hops;
         let plan = RoutingPlan::min_hop(inst.topology.clone(), &inst.traffic, h);
-        let failures = random_schedule(
+        let mut failures = random_schedule(
             &mut draw,
             plan.topology().num_links(),
             warmup + horizon,
             k % 2 == 0,
         );
+        if k % 2 == 1 {
+            failures = with_srlg_outage(&mut draw, &plan, warmup + horizon, failures);
+        }
+        let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
+        let zero_fill = vec![0u32; capacities.len()];
         for policy in [
             PolicyKind::ControlledAlternate { max_hops: h },
             PolicyKind::UncontrolledAlternate { max_hops: h },
@@ -169,6 +212,80 @@ fn random_instances_agree_across_execution_modes_under_random_failures() {
                 oracle,
                 run_seed_reference(&config),
                 "[{inst_seed:#x}] {policy:?} under {failures:?}: reference diverged from run_seed"
+            );
+
+            let label = format!("{inst_seed:#x}");
+            let mut fresh_trace = BinaryTraceWriter::new(config.seed, &label);
+            let traced = run_replication(
+                &config,
+                &mut KernelScratch::new(),
+                &[],
+                None,
+                NAMED_POLICY,
+                &mut fresh_trace,
+            );
+            assert_eq!(
+                oracle, traced,
+                "[{inst_seed:#x}] {policy:?}: traced run diverged"
+            );
+            let telemetry = || RunTelemetry::new(warmup, horizon, 1.0, capacities.clone());
+            let mut recorded = telemetry();
+            assert_eq!(
+                oracle,
+                run_seed_recorded(&config, &mut recorded),
+                "[{inst_seed:#x}] {policy:?}: recorded run diverged"
+            );
+            let mut pooled_trace = BinaryTraceWriter::new(config.seed, &label);
+            let mut pooled_recorded = telemetry();
+            let mut pair = (&mut pooled_trace, Recording(&mut pooled_recorded));
+            let traced_and_recorded =
+                run_replication(&config, &mut scratch, &[], None, NAMED_POLICY, &mut pair);
+            assert_eq!(
+                oracle, traced_and_recorded,
+                "[{inst_seed:#x}] {policy:?}: traced and recorded pooled run diverged"
+            );
+            assert!(
+                fresh_trace.finish() == pooled_trace.finish(),
+                "[{inst_seed:#x}] {policy:?}: trace bytes differ between fresh and pooled scratch"
+            );
+            assert_eq!(
+                recorded, pooled_recorded,
+                "[{inst_seed:#x}] {policy:?}: telemetry differs between recorder paths"
+            );
+
+            let warm = run_replication(
+                &config,
+                &mut scratch,
+                &zero_fill,
+                None,
+                NAMED_POLICY,
+                &mut NullObserver,
+            );
+            assert_eq!(
+                oracle, warm,
+                "[{inst_seed:#x}] {policy:?}: zero-fill warm start diverged"
+            );
+
+            let mut selector = TieredSelector::new(&plan);
+            let explicit = match policy {
+                PolicyKind::ControlledAlternate { .. } => run_seed_with_policy(
+                    &config,
+                    &mut TrunkReservation::new(plan.protection_levels().to_vec()),
+                    &mut selector,
+                    &mut NullObserver,
+                    &mut altroute_telemetry::NullRecorder,
+                ),
+                _ => run_seed_with_policy(
+                    &config,
+                    &mut Uncontrolled,
+                    &mut selector,
+                    &mut NullObserver,
+                    &mut altroute_telemetry::NullRecorder,
+                ),
+            };
+            assert_eq!(
+                oracle, explicit,
+                "[{inst_seed:#x}] {policy:?}: explicit engine pair diverged from named dispatch"
             );
             dropped += oracle.dropped;
         }

@@ -135,8 +135,8 @@ use altroute_sim::adaptive::{run_adaptive_replications, run_adaptive_telemetry, 
 use altroute_sim::experiment::{Experiment, ProgressObserver, SimParams};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::multirate::{
-    run_multirate_telemetry, run_multirate_with_workers, BandwidthClass, MultirateParams,
-    MultiratePolicy,
+    run_multirate_telemetry_with_workers, run_multirate_with_workers, BandwidthClass,
+    MultirateParams, MultiratePolicy,
 };
 use altroute_sim::signaling::{
     run_signaling_replications, run_signaling_telemetry, SignalingConfig, SignalingPolicy,
@@ -1219,8 +1219,15 @@ fn cmd_multirate(path: &str, flags: &Flags) -> Result<(), String> {
         };
         let topo = exp.topology();
         let r = if flags.telemetry.is_some() {
-            let (r, telemetry) =
-                run_multirate_telemetry(topo, &classes, policy, &params, &failures, window);
+            let (r, telemetry) = run_multirate_telemetry_with_workers(
+                topo,
+                &classes,
+                policy,
+                &params,
+                &failures,
+                window,
+                flags.worker_count(),
+            );
             snapshots.push((policy.name().to_string(), telemetry));
             r
         } else {

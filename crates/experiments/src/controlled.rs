@@ -29,11 +29,11 @@ use altroute_core::policy::PolicyKind;
 use altroute_core::select::BestOfDSelector;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_with_policy_warm, RunConfig, BOD_SAMPLE_STREAM};
+use altroute_sim::engine::{run_replication, PolicyChoice, RunConfig, BOD_SAMPLE_STREAM};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::trace::NullTraceSink;
 use altroute_simcore::kernel::{
-    AdmissionPolicy, LinkOccupancy, RouteSelector, Selection, TrunkReservation,
+    AdmissionPolicy, KernelScratch, LinkOccupancy, Recording, RouteSelector, Selection,
+    TrunkReservation,
 };
 use altroute_simcore::rng::StreamFactory;
 use altroute_telemetry::serve::{LiveRecorder, MetricsServer};
@@ -223,6 +223,7 @@ pub fn run_controlled_served(
     let mut final_levels: Vec<u32> = vec![0; num_links];
     let mut arms: Vec<ControlledArm> = Vec::with_capacity(2);
     let mut replications_done = 0usize;
+    let mut scratch = KernelScratch::new();
     for name in ["static", "online"] {
         if let Some(server) = server {
             server.update_status(|s| {
@@ -253,14 +254,16 @@ pub fn run_controlled_served(
             let r = {
                 let mut live = LiveRecorder::new(&mut telemetry, server, None);
                 match name {
-                    "static" => run_seed_with_policy_warm(
+                    "static" => run_replication(
                         &config,
+                        &mut scratch,
                         &initial,
                         None,
-                        &mut admission,
-                        &mut BestOfDSelector::new(&plan, meta.d, rng),
-                        &mut NullTraceSink,
-                        &mut live,
+                        PolicyChoice::Explicit(
+                            &mut admission,
+                            &mut BestOfDSelector::new(&plan, meta.d, rng),
+                        ),
+                        &mut Recording(&mut live),
                     ),
                     _ => {
                         let mut selector = ControlledSelector {
@@ -272,14 +275,13 @@ pub fn run_controlled_served(
                             counts: vec![0; meta.nodes * meta.nodes],
                             updates: Vec::new(),
                         };
-                        let r = run_seed_with_policy_warm(
+                        let r = run_replication(
                             &config,
+                            &mut scratch,
                             &initial,
                             Some(meta.window),
-                            &mut admission,
-                            &mut selector,
-                            &mut NullTraceSink,
-                            &mut live,
+                            PolicyChoice::Explicit(&mut admission, &mut selector),
+                            &mut Recording(&mut live),
                         );
                         update_count += selector.updates.len() as u64;
                         if s == 0 {

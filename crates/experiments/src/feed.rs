@@ -18,11 +18,10 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_instrumented, RunConfig};
+use altroute_sim::engine::{run_replication, RunConfig, NAMED_POLICY};
 use altroute_sim::failures::FailureSchedule;
-use altroute_sim::trace::{TraceDecision, TraceSink};
+use altroute_simcore::kernel::{KernelObserver, KernelScratch, Link, Tier};
 use altroute_telemetry::feed::{FEED_MAGIC, FEED_VERSION};
-use altroute_telemetry::NullRecorder;
 use std::fmt::Write as _;
 
 /// One constant-load stretch of a recorded feed.
@@ -109,15 +108,22 @@ struct ArrivalLines {
     arrivals: u64,
 }
 
-impl TraceSink for ArrivalLines {
-    fn arrival(&mut self, time: f64, pair: u32, _decision: TraceDecision<'_>) {
+impl ArrivalLines {
+    fn arrival(&mut self, time: f64, pair: u32) {
         let (src, dst) = (pair as usize / self.nodes, pair as usize % self.nodes);
         let _ = writeln!(self.out, "a {} {src} {dst}", self.offset + time);
         self.arrivals += 1;
     }
-    fn departure(&mut self, _: f64, _: u32, _: u32, _: bool) {}
-    fn teardown(&mut self, _: f64, _: u32, _: u32) {}
-    fn link_change(&mut self, _: f64, _: u32, _: bool) {}
+}
+
+impl KernelObserver for ArrivalLines {
+    fn arrival_routed(&mut self, time: f64, pair: u32, _: Tier, _: &[Link], _: f64, _: bool) {
+        self.arrival(time, pair);
+    }
+
+    fn arrival_blocked(&mut self, time: f64, pair: u32, _: f64, _: bool) {
+        self.arrival(time, pair);
+    }
 }
 
 /// Records the feed `cfg` describes and renders it as protocol text.
@@ -166,7 +172,14 @@ pub fn render_feed(cfg: &FeedConfig) -> (String, FeedStats) {
             out: String::new(),
             arrivals: 0,
         };
-        run_seed_instrumented(&config, &mut sink, &mut NullRecorder);
+        run_replication(
+            &config,
+            &mut KernelScratch::new(),
+            &[],
+            None,
+            NAMED_POLICY,
+            &mut sink,
+        );
         text.push_str(&sink.out);
         arrivals += sink.arrivals;
         offset += seg.horizon;

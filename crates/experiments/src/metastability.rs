@@ -29,9 +29,10 @@ use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
 use altroute_netgraph::topologies;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_sim::engine::{run_seed_warm_instrumented, RunConfig};
+use altroute_sim::engine::{run_replication, RunConfig, NAMED_POLICY};
 use altroute_sim::failures::FailureSchedule;
 use altroute_sim::trace::{encode_flight, FlightSink};
+use altroute_simcore::kernel::{KernelScratch, Recording};
 use altroute_telemetry::flight::{FlightRing, FlightTrigger, TriggerReason};
 use altroute_telemetry::serve::{LiveRecorder, MetricsServer};
 use altroute_telemetry::{export, ModeReport, ModeThresholds, RunTelemetry};
@@ -269,7 +270,8 @@ fn run_arm(
     // seeds' events are dropped, so the dump shows exactly one anomaly.
     let ring = RefCell::new(FlightRing::new(FLIGHT_RING_CAPACITY));
     let mut flight: Option<FlightCapture> = None;
-    let mut merged: Option<RunTelemetry> = None;
+    let mut recorded = Vec::with_capacity(cfg.seeds as usize);
+    let mut scratch = KernelScratch::new();
     let (mut offered, mut blocked, mut alternate) = (0u64, 0u64, 0u64);
     for s in 0..cfg.seeds {
         let seed = cfg.base_seed + u64::from(s);
@@ -290,9 +292,18 @@ fn run_arm(
         // replication's series starts at t = 0); the ring persists.
         let mut trigger = FlightTrigger::new(Some(cfg.thresholds), None);
         let r = {
-            let mut sink = FlightSink::new(&ring);
             let mut live = LiveRecorder::new(&mut telemetry, server, Some((&ring, &mut trigger)));
-            run_seed_warm_instrumented(&config, &initial, &mut sink, &mut live)
+            // The ring writer goes first, so the ring already holds each
+            // event when the recorder's window hooks decide to freeze it.
+            let mut observer = (FlightSink::new(&ring), Recording(&mut live));
+            run_replication(
+                &config,
+                &mut scratch,
+                &initial,
+                None,
+                NAMED_POLICY,
+                &mut observer,
+            )
         };
         if flight.is_none() {
             if let Some(reason) = ring.borrow().trigger() {
@@ -306,17 +317,14 @@ fn run_arm(
         offered += r.offered;
         blocked += r.blocked;
         alternate += r.carried_alternate;
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
+        recorded.push(telemetry);
         *replications_done += 1;
         if let Some(server) = server {
             let done = *replications_done;
             server.update_status(|st| st.replications_done = done);
         }
     }
-    let telemetry = merged.expect("at least one seed");
+    let telemetry = RunTelemetry::merged(recorded);
     let modes = telemetry.mode_report(cfg.thresholds);
     let windows = telemetry.grid().num_windows();
     let tail = windows - (windows / 4).max(1);

@@ -18,22 +18,24 @@
 //! per unit time *is* the offered load in Erlangs.
 //!
 //! On the simulation kernel the estimator is a [`RouteSelector`]
-//! wrapper: `observe_arrival` tallies set-ups, and the kernel's periodic
-//! tick (`update_interval`) folds the window into the EWMA and pushes
-//! fresh levels into the [`TrunkReservation`] admission policy via
-//! `set_levels` — the state-dependent tier reads them on the very next
-//! call.
+//! wrapper run as an explicit policy through the engine's
+//! [`run_replication`]: `observe_arrival` tallies set-ups, and the
+//! kernel's periodic tick (`update_interval`) folds the window into the
+//! EWMA and pushes fresh levels into the [`TrunkReservation`] admission
+//! policy via `set_levels` — the state-dependent tier reads them on the
+//! very next call.
 
+use crate::engine::{run_replication, PolicyChoice, RunConfig};
 use crate::failures::FailureSchedule;
-use crate::trace::{NullTraceSink, TraceSink};
 use altroute_core::plan::RoutingPlan;
+use altroute_core::policy::PolicyKind;
 use altroute_core::select::TieredSelector;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent,
-    LinkOccupancy, RouteSelector, Selection, TrunkReservation,
+    AdmissionPolicy, KernelScratch, LinkOccupancy, Recording, RouteSelector, Selection,
+    TrunkReservation,
 };
-use altroute_simcore::pool::pool_run_with;
+use altroute_simcore::pool::pool_record;
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 use altroute_teletraffic::reservation::protection_level;
@@ -189,17 +191,8 @@ pub fn run_adaptive_seed(
     failures: &FailureSchedule,
     config: &AdaptiveConfig,
 ) -> AdaptiveSeedResult {
-    run_adaptive_seed_instrumented(
-        plan,
-        traffic,
-        warmup,
-        horizon,
-        seed,
-        failures,
-        config,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-    )
+    let run = run_config(plan, traffic, warmup, horizon, seed, failures);
+    adaptive_seed(&run, config, &mut NullRecorder, &mut KernelScratch::new())
 }
 
 /// Runs `seeds` adaptive replications (seed `i` uses `base_seed + i`)
@@ -222,28 +215,8 @@ pub fn run_adaptive_replications(
     config: &AdaptiveConfig,
     workers: usize,
 ) -> (Vec<AdaptiveSeedResult>, BlockingSummary) {
-    assert!(seeds > 0, "need at least one replication");
-    let per_seed = pool_run_with(
-        seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            run_adaptive_seed_scratch(
-                plan,
-                traffic,
-                warmup,
-                horizon,
-                base_seed + i as u64,
-                failures,
-                config,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
+    let run = run_config(plan, traffic, warmup, horizon, base_seed, failures);
+    let (per_seed, summary, _) = replicate(&run, seeds, config, workers, || NullRecorder);
     (per_seed, summary)
 }
 
@@ -268,96 +241,77 @@ pub fn run_adaptive_telemetry(
     workers: usize,
     window: f64,
 ) -> (Vec<AdaptiveSeedResult>, BlockingSummary, RunTelemetry) {
-    assert!(seeds > 0, "need at least one replication");
+    let run = run_config(plan, traffic, warmup, horizon, base_seed, failures);
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run_with(
-        seeds as usize,
-        workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let mut telemetry = RunTelemetry::new(warmup, horizon, window, capacities.clone());
-            let r = run_adaptive_seed_scratch(
-                plan,
-                traffic,
-                warmup,
-                horizon,
-                base_seed + i as u64,
-                failures,
-                config,
-                &mut NullTraceSink,
-                &mut telemetry,
-                scratch,
-            );
-            (r, telemetry)
-        },
-    );
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    let mut merged: Option<RunTelemetry> = None;
-    for (r, telemetry) in recorded {
-        per_seed.push(r);
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-    }
-    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary, merged.expect("at least one replication"))
+    let (per_seed, summary, recorded) = replicate(&run, seeds, config, workers, || {
+        RunTelemetry::new(warmup, horizon, window, capacities.clone())
+    });
+    (per_seed, summary, RunTelemetry::merged(recorded))
 }
 
-/// [`run_adaptive_seed`] with a trace sink and telemetry recorder
-/// attached — the kernel reports every arrival, departure, occupancy
-/// change, and link transition exactly as the main engine does. Both
-/// observers are pure: the returned result is identical for any choice.
-///
-/// # Panics
-///
-/// As [`run_adaptive_seed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_seed_instrumented<S: TraceSink, R: Recorder>(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
+/// The engine configuration of one adaptive replication. The adaptive
+/// pair runs as an explicit policy, so the named `policy` only documents
+/// what it replaces.
+fn run_config<'a>(
+    plan: &'a RoutingPlan,
+    traffic: &'a TrafficMatrix,
     warmup: f64,
     horizon: f64,
     seed: u64,
-    failures: &FailureSchedule,
-    config: &AdaptiveConfig,
-    sink: &mut S,
-    recorder: &mut R,
-) -> AdaptiveSeedResult {
-    run_adaptive_seed_scratch(
+    failures: &'a FailureSchedule,
+) -> RunConfig<'a> {
+    RunConfig {
         plan,
+        policy: PolicyKind::ControlledAlternate {
+            max_hops: plan.max_alternate_hops(),
+        },
         traffic,
         warmup,
         horizon,
         seed,
         failures,
-        config,
-        sink,
-        recorder,
-        &mut KernelScratch::new(),
-    )
+    }
 }
 
-/// The body of every adaptive entry point: one kernel replication with
-/// the adaptive selector, on a caller-supplied scratch arena (the
-/// replication pools recycle one per worker).
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
-    plan: &RoutingPlan,
-    traffic: &TrafficMatrix,
-    warmup: f64,
-    horizon: f64,
-    seed: u64,
-    failures: &FailureSchedule,
+/// The fan-out both replication entry points share: `seeds`
+/// replications of `run` (seed `i` uses `run.seed + i`), each observed
+/// by a fresh recorder from `recorder`, in seed order.
+fn replicate<R: Recorder + Send>(
+    run: &RunConfig<'_>,
+    seeds: u32,
     config: &AdaptiveConfig,
-    sink: &mut S,
+    workers: usize,
+    recorder: impl Fn() -> R + Sync,
+) -> (Vec<AdaptiveSeedResult>, BlockingSummary, Vec<R>) {
+    assert!(seeds > 0, "need at least one replication");
+    let (per_seed, recorded) = pool_record(
+        seeds as usize,
+        workers,
+        None,
+        KernelScratch::new,
+        recorder,
+        |scratch, i, recorder| {
+            let run = RunConfig {
+                seed: run.seed + i as u64,
+                ..*run
+            };
+            adaptive_seed(&run, config, recorder, scratch)
+        },
+    );
+    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
+    (per_seed, summary, recorded)
+}
+
+/// The body of every adaptive entry point: one engine replication with
+/// the adaptive selector as an explicit policy and its update interval
+/// as the kernel tick, on a caller-supplied scratch arena (the
+/// replication pools recycle one per worker).
+fn adaptive_seed<R: Recorder>(
+    run: &RunConfig<'_>,
+    config: &AdaptiveConfig,
     recorder: &mut R,
     scratch: &mut KernelScratch,
 ) -> AdaptiveSeedResult {
-    let topo = plan.topology();
-    let n = topo.num_nodes();
-    assert_eq!(traffic.num_nodes(), n, "traffic matrix size mismatch");
     assert!(
         config.update_interval > 0.0,
         "update interval must be positive"
@@ -366,59 +320,19 @@ fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
         config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
         "alpha in (0, 1]"
     );
-
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let sources: Vec<ArrivalSource> = traffic
-        .demands()
-        .map(|(i, j, t)| {
-            let pair = i * n + j;
-            ArrivalSource {
-                stream: pair as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: 1,
-                tag: pair as u32,
-                tally: pair as u32,
-            }
-        })
-        .collect();
-    let link_events: Vec<LinkEvent> = failures
-        .events()
-        .iter()
-        .map(|ev| LinkEvent {
-            at: ev.at,
-            link: ev.link,
-            up: ev.up,
-        })
-        .collect();
-    let spec = KernelSpec {
-        config: KernelConfig {
-            warmup,
-            horizon,
-            seed,
-            draw_pick: true,
-            tick_interval: Some(config.update_interval),
-            tally_slots: n * n,
-        },
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-
-    let mut selector = AdaptiveSelector::new(plan, config);
+    let mut selector = AdaptiveSelector::new(run.plan, config);
     let mut admission = TrunkReservation::new(selector.levels.clone());
-    let mut observer = crate::engine::Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-    let outcome = kernel::run_pooled(&spec, &mut admission, &mut selector, &mut observer, scratch);
-    recorder.finish(warmup + horizon);
+    let result = run_replication(
+        run,
+        scratch,
+        &[],
+        Some(config.update_interval),
+        PolicyChoice::Explicit(&mut admission, &mut selector),
+        &mut Recording(recorder),
+    );
     AdaptiveSeedResult {
-        offered: outcome.offered,
-        blocked: outcome.blocked,
+        offered: result.offered,
+        blocked: result.blocked,
         final_estimates: selector.estimates,
         final_levels: selector.levels,
     }
@@ -427,7 +341,6 @@ fn run_adaptive_seed_scratch<S: TraceSink, R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use altroute_core::policy::PolicyKind;
     use altroute_netgraph::estimate::nsfnet_nominal_traffic;
     use altroute_netgraph::topologies;
 
@@ -566,17 +479,8 @@ mod tests {
         let cfg = AdaptiveConfig::default();
         let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
         let mut recorder = altroute_telemetry::RunTelemetry::new(5.0, 30.0, 5.0, capacities);
-        let recorded = run_adaptive_seed_instrumented(
-            &plan,
-            &traffic,
-            5.0,
-            30.0,
-            11,
-            &failures,
-            &cfg,
-            &mut NullTraceSink,
-            &mut recorder,
-        );
+        let run = run_config(&plan, &traffic, 5.0, 30.0, 11, &failures);
+        let recorded = adaptive_seed(&run, &cfg, &mut recorder, &mut KernelScratch::new());
         let plain = run_adaptive_seed(&plan, &traffic, 5.0, 30.0, 11, &failures, &cfg);
         assert_eq!(recorded, plain, "recorder must be a pure observer");
         assert_eq!(

@@ -10,11 +10,16 @@
 //! [`altroute_simcore::kernel`]: the event loop, call table, link index,
 //! and metrics live there, and this module contributes only the policy
 //! dispatch — mapping each [`PolicyKind`] to its
-//! (`AdmissionPolicy`, `RouteSelector`) pair — plus the adapter that
-//! feeds kernel observations to the [`TraceSink`] and [`Recorder`]
-//! hooks. The event stream (and every counter) is bit-identical to the
-//! pre-kernel engine; the conformance crate's golden traces pin that
-//! down.
+//! (`AdmissionPolicy`, `RouteSelector`) pair. Every replication runs
+//! through one body behind one general entry, [`run_replication`]: warm
+//! start, periodic selector tick, named or explicit policy, and any
+//! [`KernelObserver`] (a trace writer, a telemetry [`Recording`], or a
+//! pair of both). [`run_seed`], [`run_seed_pooled`],
+//! [`run_seed_recorded`] and [`run_seed_with_policy`] are one-line
+//! shorthands for it, and [`run_seed_reference`] runs the same body on
+//! the `BinaryHeap` reference queue. The event stream (and every
+//! counter) is bit-identical to the pre-kernel engine; the conformance
+//! crate's golden traces pin that down.
 //!
 //! **Common random numbers.** Each pair draws its inter-arrival times,
 //! holding times, and primary-split picks from its own seed-derived
@@ -24,20 +29,20 @@
 //! run with identical call arrivals and call holding times".
 
 use crate::failures::FailureSchedule;
-use crate::trace::{NullTraceSink, TraceDecision, TraceSink};
 use altroute_core::plan::RoutingPlan;
-use altroute_core::policy::{CallClass, PolicyKind};
+use altroute_core::policy::PolicyKind;
 use altroute_core::select::{
     BestOfDSelector, DarStickySelector, OttKrishnanSelector, TieredSelector,
 };
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
     self, AdmissionPolicy, ArrivalSource, KernelConfig, KernelObserver, KernelOutcome,
-    KernelScratch, KernelSpec, LinkEvent, RouteSelector, Tier, TrunkReservation, Uncontrolled,
+    KernelScratch, KernelSpec, NullObserver, Recording, RouteSelector, TrunkReservation,
+    Uncontrolled,
 };
 use altroute_simcore::metrics::EngineMetrics;
 use altroute_simcore::rng::StreamFactory;
-use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder};
+use altroute_telemetry::Recorder;
 
 /// The RNG stream id of the DAR selector's private resampling stream.
 /// Arrival streams use pair ids (`< n²`), so the top of the id space can
@@ -114,77 +119,28 @@ impl SeedResult {
     }
 }
 
-/// Adapts the kernel's observation hooks onto the engine's historical
-/// observers: every hook forwards to the [`TraceSink`] first and the
-/// [`Recorder`] second, at exactly the pre-kernel call sites (the golden
-/// traces encode this ordering). Shared by every kernel-backed simulator
-/// in this crate.
-pub(crate) struct Instruments<'a, S, R> {
-    pub(crate) sink: &'a mut S,
-    pub(crate) recorder: &'a mut R,
+/// Which `(admission, selector)` pair decides a replication's calls.
+#[derive(Debug)]
+pub enum PolicyChoice<'x, A, Sel> {
+    /// The engine's own pair for [`RunConfig::policy`] (the table in
+    /// [`run_replication`]); pass [`NAMED_POLICY`].
+    Named,
+    /// An explicit pair — the extension point for policies that are not
+    /// (yet) named variants, and the hook an online controller drives
+    /// through [`RouteSelector::tick`] and
+    /// [`AdmissionPolicy::set_levels`]. [`RunConfig::policy`] is ignored.
+    Explicit(&'x mut A, &'x mut Sel),
 }
 
-impl<S: TraceSink, R: Recorder> KernelObserver for Instruments<'_, S, R> {
-    fn arrival_routed(
-        &mut self,
-        now: f64,
-        tag: u32,
-        tier: Tier,
-        links: &[usize],
-        hold: f64,
-        measured: bool,
-    ) {
-        let class = match tier {
-            Tier::Primary => CallClass::Primary,
-            Tier::Alternate => CallClass::Alternate,
-        };
-        self.sink
-            .arrival(now, tag, TraceDecision::Routed { class, links });
-        let outcome = match tier {
-            Tier::Primary => ArrivalOutcome::Primary,
-            Tier::Alternate => ArrivalOutcome::Alternate,
-        };
-        self.recorder
-            .arrival(now, measured, outcome, links.len() as u8, hold);
-    }
+/// [`PolicyChoice::Named`], with its unused pair types filled in.
+pub const NAMED_POLICY: PolicyChoice<'static, Uncontrolled, TieredSelector<'static>> =
+    PolicyChoice::Named;
 
-    fn arrival_blocked(&mut self, now: f64, tag: u32, hold: f64, measured: bool) {
-        self.sink.arrival(now, tag, TraceDecision::Blocked);
-        self.recorder
-            .arrival(now, measured, ArrivalOutcome::Blocked, 0, hold);
-    }
-
-    fn occupancy_changed(&mut self, now: f64, link: usize, occupancy: u32) {
-        self.recorder.occupancy(now, link as u32, occupancy);
-    }
-
-    fn departure(&mut self, now: f64, call: u32, gen: u32, stale: bool) {
-        self.sink.departure(now, call, gen, stale);
-        self.recorder.departure(now, stale);
-    }
-
-    fn teardown(&mut self, now: f64, call: u32, gen: u32, measured: bool) {
-        self.sink.teardown(now, call, gen);
-        self.recorder.teardown(now, measured);
-    }
-
-    fn link_change(&mut self, now: f64, link: u32, up: bool) {
-        self.sink.link_change(now, link, up);
-        self.recorder.link_state(now, link, up);
-    }
-
-    fn event_processed(&mut self, now: f64, queue_len: usize) {
-        self.recorder.event(now, queue_len);
-    }
-}
-
-/// Which kernel entry point a replication runs through: the default
-/// fresh-scratch calendar queue, a caller-recycled [`KernelScratch`],
-/// or the `BinaryHeap` reference baseline. All three are
-/// outcome-identical by the kernel's contract; only
+/// Where the kernel's event schedule lives: a caller-recycled
+/// [`KernelScratch`] (the calendar queue) or the `BinaryHeap` reference
+/// baseline. Both are outcome-identical by the kernel's contract; only
 /// allocation behavior and speed differ.
 enum KernelEntry<'s> {
-    Fresh,
     Pooled(&'s mut KernelScratch),
     Reference,
 }
@@ -203,7 +159,6 @@ impl KernelEntry<'_> {
         O: KernelObserver,
     {
         match self {
-            KernelEntry::Fresh => kernel::run(spec, admission, selector, observer),
             KernelEntry::Pooled(scratch) => {
                 kernel::run_pooled(spec, admission, selector, observer, scratch)
             }
@@ -219,7 +174,7 @@ impl KernelEntry<'_> {
 /// Panics on inconsistent configuration (sizes, negative durations) or if
 /// an internal invariant breaks (a policy admitting over a full link).
 pub fn run_seed(config: &RunConfig<'_>) -> SeedResult {
-    run_seed_instrumented(config, &mut NullTraceSink, &mut NullRecorder)
+    run_seed_pooled(config, &mut KernelScratch::new())
 }
 
 /// As [`run_seed`], but recycling `scratch` (event-queue buckets, call
@@ -231,13 +186,7 @@ pub fn run_seed(config: &RunConfig<'_>) -> SeedResult {
 ///
 /// As [`run_seed`].
 pub fn run_seed_pooled(config: &RunConfig<'_>, scratch: &mut KernelScratch) -> SeedResult {
-    run_seed_entry(
-        config,
-        &[],
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Pooled(scratch),
-    )
+    run_replication(config, scratch, &[], None, NAMED_POLICY, &mut NullObserver)
 }
 
 /// As [`run_seed`], but on the comparison-based `BinaryHeap` event queue
@@ -249,28 +198,14 @@ pub fn run_seed_pooled(config: &RunConfig<'_>, scratch: &mut KernelScratch) -> S
 ///
 /// As [`run_seed`].
 pub fn run_seed_reference(config: &RunConfig<'_>) -> SeedResult {
-    run_seed_entry(
+    replicate(
         config,
-        &[],
-        &mut NullTraceSink,
-        &mut NullRecorder,
         KernelEntry::Reference,
+        &[],
+        None,
+        NAMED_POLICY,
+        &mut NullObserver,
     )
-}
-
-/// Runs one replication while reporting every event to `sink`.
-///
-/// This is the deterministic replay entry point behind the conformance
-/// crate's golden traces: the event stream for a given `config` is a
-/// pure function of the configuration, so recording it once and
-/// replaying later (or on another worker count) must reproduce it byte
-/// for byte. [`run_seed`] is this function with a no-op sink.
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_traced<S: TraceSink>(config: &RunConfig<'_>, sink: &mut S) -> SeedResult {
-    run_seed_instrumented(config, sink, &mut NullRecorder)
 }
 
 /// Runs one replication while feeding time-resolved telemetry to
@@ -284,151 +219,47 @@ pub fn run_seed_traced<S: TraceSink>(config: &RunConfig<'_>, sink: &mut S) -> Se
 ///
 /// As [`run_seed`].
 pub fn run_seed_recorded<R: Recorder>(config: &RunConfig<'_>, recorder: &mut R) -> SeedResult {
-    run_seed_instrumented(config, &mut NullTraceSink, recorder)
+    let mut observer = Recording(recorder);
+    run_replication(
+        config,
+        &mut KernelScratch::new(),
+        &[],
+        None,
+        NAMED_POLICY,
+        &mut observer,
+    )
 }
 
-/// As [`run_seed_recorded`], recycling `scratch` across calls exactly
-/// like [`run_seed_pooled`]. Results and telemetry are byte-identical
-/// to [`run_seed_recorded`].
+/// Runs one replication with an explicit `(admission, selector)` pair
+/// instead of a named [`PolicyKind`], reporting to `observer` first and
+/// `recorder` second. Counters behave exactly as in [`run_seed`].
 ///
 /// # Panics
 ///
 /// As [`run_seed`].
-pub fn run_seed_recorded_pooled<R: Recorder>(
+pub fn run_seed_with_policy<'p, A, Sel, O, R>(
     config: &RunConfig<'_>,
+    admission: &mut A,
+    selector: &mut Sel,
+    observer: &mut O,
     recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> SeedResult {
-    run_seed_entry(
+) -> SeedResult
+where
+    A: AdmissionPolicy,
+    Sel: RouteSelector<'p>,
+    O: KernelObserver,
+    R: Recorder,
+{
+    let policy = PolicyChoice::Explicit(admission, selector);
+    let mut observer = (observer, Recording(recorder));
+    run_replication(
         config,
+        &mut KernelScratch::new(),
         &[],
-        &mut NullTraceSink,
-        recorder,
-        KernelEntry::Pooled(scratch),
+        None,
+        policy,
+        &mut observer,
     )
-}
-
-/// As [`run_seed`], but *warm-started*: `initial_occupancy` (one entry
-/// per link; empty means cold start) is booked at `t = 0` as real
-/// single-link calls with fresh unit-mean exponential residual holding
-/// times from the kernel's dedicated warm-start stream, so the seeded
-/// state decays naturally. Everything else — arrival streams, policy
-/// dispatch, counters — is identical to [`run_seed`], and an empty
-/// slice *is* [`run_seed`], byte for byte.
-///
-/// This is the initial-condition hook behind the metastability
-/// experiments: the same load run from an empty vs. a saturated network
-/// can land in different blocking modes (hysteresis).
-///
-/// # Panics
-///
-/// As [`run_seed`]; additionally if `initial_occupancy` is non-empty
-/// with the wrong length, exceeds a link's capacity, or seeds a
-/// statically-down link.
-pub fn run_seed_warm(config: &RunConfig<'_>, initial_occupancy: &[u32]) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        &mut NullRecorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_recorded`], warm-started like [`run_seed_warm`]. The
-/// recorder sees the seeded occupancy as `occupancy_changed` hooks at
-/// `t = 0`, so windowed telemetry starts from the warm state.
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_recorded<R: Recorder>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        &mut NullTraceSink,
-        recorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// As [`run_seed_warm_recorded`], additionally reporting every event to
-/// `sink` — the warm-started counterpart of
-/// [`run_seed_instrumented`]. This is the entry point behind the
-/// metastability experiments' anomaly flight recorder: a
-/// [`FlightSink`](crate::trace::FlightSink) rides along a warm-started
-/// recorded run and the recorder's window hooks freeze the ring.
-/// Both observers are pure: results and telemetry are byte-identical to
-/// [`run_seed_warm_recorded`].
-///
-/// # Panics
-///
-/// As [`run_seed_warm`].
-pub fn run_seed_warm_instrumented<S: TraceSink, R: Recorder>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(
-        config,
-        initial_occupancy,
-        sink,
-        recorder,
-        KernelEntry::Fresh,
-    )
-}
-
-/// Builds the kernel's static description of this run: one arrival
-/// source per demand pair (stream = tag = tally = pair id, in
-/// `demands()` order — the source order breaks event-queue ties, so it
-/// is part of the determinism contract), the per-link capacities, and
-/// the failure schedule split into static downs and timed events.
-fn build_spec(
-    config: &RunConfig<'_>,
-) -> (Vec<u32>, Vec<ArrivalSource>, Vec<LinkEvent>, KernelConfig) {
-    let topo = config.plan.topology();
-    let n = topo.num_nodes();
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let sources: Vec<ArrivalSource> = config
-        .traffic
-        .demands()
-        .map(|(i, j, t)| {
-            let pair = i * n + j;
-            ArrivalSource {
-                stream: pair as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: 1,
-                tag: pair as u32,
-                tally: pair as u32,
-            }
-        })
-        .collect();
-    let link_events: Vec<LinkEvent> = config
-        .failures
-        .events()
-        .iter()
-        .map(|ev| LinkEvent {
-            at: ev.at,
-            link: ev.link,
-            up: ev.up,
-        })
-        .collect();
-    let kernel_config = KernelConfig {
-        warmup: config.warmup,
-        horizon: config.horizon,
-        seed: config.seed,
-        draw_pick: true,
-        tick_interval: None,
-        tally_slots: n * n,
-    };
-    (capacities, sources, link_events, kernel_config)
 }
 
 /// Pushes a schedule's *static* outages into the plan's candidate-path
@@ -452,128 +283,189 @@ pub fn apply_static_failures(plan: &mut RoutingPlan, failures: &FailureSchedule)
         .sum()
 }
 
-/// Runs one replication with both a trace sink and a telemetry recorder
-/// attached. [`run_seed`], [`run_seed_traced`], and [`run_seed_recorded`]
-/// are this function with the respective no-op observers; both no-ops
-/// monomorphize to nothing, so the plain path pays no cost.
+/// Runs one replication: the general entry every `run_seed*` shorthand
+/// and every kernel-backed caller goes through.
+///
+/// * `scratch` is recycled across calls (see [`run_seed_pooled`]).
+/// * `initial_occupancy` warm-starts the run: one entry per link (empty
+///   means cold start), booked at `t = 0` as real single-link calls with
+///   fresh unit-mean exponential residual holding times from the
+///   kernel's dedicated warm-start stream, so the seeded state decays
+///   naturally. An empty or all-zero slice is the cold start, byte for
+///   byte. This is the initial-condition hook behind the metastability
+///   experiments: the same load run from an empty vs. a saturated
+///   network can land in different blocking modes (hysteresis).
+/// * `tick_interval = Some(window)` calls [`RouteSelector::tick`] at
+///   every window boundary — where a controlling selector re-estimates
+///   loads and pushes fresh levels through
+///   [`AdmissionPolicy::set_levels`]. `None` schedules no tick events.
+/// * `policy` is [`NAMED_POLICY`] or an explicit pair
+///   ([`PolicyChoice::Explicit`]). The named dispatch maps each policy to
+///   an (admission, selector) pair on the same kernel:
+///
+/// | policy        | admission                    | selector            |
+/// |---------------|------------------------------|---------------------|
+/// | single-path   | capacity only                | tiered, no alternates |
+/// | uncontrolled  | capacity only                | tiered              |
+/// | controlled    | trunk reservation (Eq. 15)   | tiered              |
+/// | ott-krishnan  | (internal to the price test) | shadow-price argmin |
+/// | dar           | trunk reservation (Eq. 15)   | sticky random       |
+/// | bod           | trunk reservation (Eq. 15)   | best-of-d sampling  |
+///
+/// * `observer` sees every kernel hook. Observers are pure: results are
+///   byte-identical for any choice, and [`NullObserver`] monomorphizes
+///   to nothing.
+///
+/// With an empty warm start and no tick, the controller hooks are
+/// byte-inert, which is what keeps the golden traces valid.
 ///
 /// # Panics
 ///
-/// As [`run_seed`].
-pub fn run_seed_instrumented<S: TraceSink, R: Recorder>(
+/// As [`run_seed`]; additionally if `initial_occupancy` is non-empty
+/// with the wrong length, exceeds a link's capacity, or seeds a
+/// statically-down link, or if `tick_interval` is non-positive.
+pub fn run_replication<'p, A, Sel, O>(
     config: &RunConfig<'_>,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult {
-    run_seed_entry(config, &[], sink, recorder, KernelEntry::Fresh)
+    scratch: &mut KernelScratch,
+    initial_occupancy: &[u32],
+    tick_interval: Option<f64>,
+    policy: PolicyChoice<'_, A, Sel>,
+    observer: &mut O,
+) -> SeedResult
+where
+    A: AdmissionPolicy,
+    Sel: RouteSelector<'p>,
+    O: KernelObserver,
+{
+    replicate(
+        config,
+        KernelEntry::Pooled(scratch),
+        initial_occupancy,
+        tick_interval,
+        policy,
+        observer,
+    )
 }
 
-/// The shared body of every `run_seed*` entry point: policy dispatch
-/// over one kernel invocation through `entry`. `initial_occupancy` is
-/// the kernel's warm-start seed (empty for the usual cold start).
-fn run_seed_entry<S: TraceSink, R: Recorder>(
+/// The one replication body: validates the configuration, builds the
+/// kernel's static description of the run (sources, capacities, the
+/// failure schedule), resolves the policy to its pair and runs the
+/// kernel through `entry`.
+fn replicate<'p, A, Sel, O>(
     config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    sink: &mut S,
-    recorder: &mut R,
     mut entry: KernelEntry<'_>,
-) -> SeedResult {
+    initial_occupancy: &[u32],
+    tick_interval: Option<f64>,
+    policy: PolicyChoice<'_, A, Sel>,
+    observer: &mut O,
+) -> SeedResult
+where
+    A: AdmissionPolicy,
+    Sel: RouteSelector<'p>,
+    O: KernelObserver,
+{
     let plan = config.plan;
-    let n = plan.topology().num_nodes();
+    let topo = plan.topology();
+    let n = topo.num_nodes();
     assert_eq!(
         config.traffic.num_nodes(),
         n,
         "traffic matrix size mismatch"
     );
-    if let Some(h) = config.policy.max_hops() {
-        assert_eq!(
-            h,
-            plan.max_alternate_hops(),
-            "policy hop bound must match the plan's H"
-        );
-    }
-    let (capacities, sources, link_events, kernel_config) = build_spec(config);
+    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
+    // One arrival source per demand pair (stream = tag = tally = pair
+    // id), in `demands()` order: the source order breaks event-queue
+    // ties, so it is part of the determinism contract.
+    let sources: Vec<ArrivalSource> = config
+        .traffic
+        .demands()
+        .map(|(i, j, t)| {
+            let pair = i * n + j;
+            ArrivalSource {
+                stream: pair as u64,
+                src: i,
+                dst: j,
+                rate: t,
+                bandwidth: 1,
+                tag: pair as u32,
+                tally: pair as u32,
+            }
+        })
+        .collect();
     let spec = KernelSpec {
-        config: kernel_config,
+        config: KernelConfig {
+            warmup: config.warmup,
+            horizon: config.horizon,
+            seed: config.seed,
+            draw_pick: true,
+            tick_interval,
+            tally_slots: n * n,
+        },
         capacities: &capacities,
         static_down: config.failures.statically_down(),
         sources: &sources,
-        link_events: &link_events,
+        link_events: config.failures.events(),
         initial_occupancy,
     };
-    let mut observer = Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-
-    // Each policy is an (admission, selector) pair on the same kernel:
-    //
-    // | policy        | admission                    | selector            |
-    // |---------------|------------------------------|---------------------|
-    // | single-path   | capacity only                | tiered, no alternates |
-    // | uncontrolled  | capacity only                | tiered              |
-    // | controlled    | trunk reservation (Eq. 15)   | tiered              |
-    // | ott-krishnan  | (internal to the price test) | shadow-price argmin |
-    // | dar           | trunk reservation (Eq. 15)   | sticky random       |
-    // | bod           | trunk reservation (Eq. 15)   | best-of-d sampling  |
-    let outcome = match config.policy {
-        PolicyKind::SinglePath => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut observer,
-        ),
-        PolicyKind::UncontrolledAlternate { .. } => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::ControlledAlternate { .. } => entry.invoke(
-            &spec,
-            &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-            &mut TieredSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::OttKrishnan { .. } => entry.invoke(
-            &spec,
-            &mut Uncontrolled,
-            &mut OttKrishnanSelector::new(plan),
-            &mut observer,
-        ),
-        PolicyKind::DarSticky { .. } => {
-            let rng = StreamFactory::new(config.seed).stream(DAR_RESAMPLE_STREAM);
-            entry.invoke(
-                &spec,
-                &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-                &mut DarStickySelector::new(plan, rng),
-                &mut observer,
-            )
+    let outcome = match policy {
+        PolicyChoice::Explicit(admission, selector) => {
+            entry.invoke(&spec, admission, selector, observer)
         }
-        PolicyKind::BestOfD { d, .. } => {
-            let rng = StreamFactory::new(config.seed).stream(BOD_SAMPLE_STREAM);
-            entry.invoke(
-                &spec,
-                &mut TrunkReservation::new(plan.protection_levels().to_vec()),
-                &mut BestOfDSelector::new(plan, d, rng),
-                &mut observer,
-            )
+        PolicyChoice::Named => {
+            if let Some(h) = config.policy.max_hops() {
+                assert_eq!(
+                    h,
+                    plan.max_alternate_hops(),
+                    "policy hop bound must match the plan's H"
+                );
+            }
+            let levels = || TrunkReservation::new(plan.protection_levels().to_vec());
+            match config.policy {
+                PolicyKind::SinglePath => entry.invoke(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut TieredSelector::single_path(plan),
+                    observer,
+                ),
+                PolicyKind::UncontrolledAlternate { .. } => entry.invoke(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut TieredSelector::new(plan),
+                    observer,
+                ),
+                PolicyKind::ControlledAlternate { .. } => entry.invoke(
+                    &spec,
+                    &mut levels(),
+                    &mut TieredSelector::new(plan),
+                    observer,
+                ),
+                PolicyKind::OttKrishnan { .. } => entry.invoke(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut OttKrishnanSelector::new(plan),
+                    observer,
+                ),
+                PolicyKind::DarSticky { .. } => {
+                    let rng = StreamFactory::new(config.seed).stream(DAR_RESAMPLE_STREAM);
+                    entry.invoke(
+                        &spec,
+                        &mut levels(),
+                        &mut DarStickySelector::new(plan, rng),
+                        observer,
+                    )
+                }
+                PolicyKind::BestOfD { d, .. } => {
+                    let rng = StreamFactory::new(config.seed).stream(BOD_SAMPLE_STREAM);
+                    entry.invoke(
+                        &spec,
+                        &mut levels(),
+                        &mut BestOfDSelector::new(plan, d, rng),
+                        observer,
+                    )
+                }
+            }
         }
     };
-    finish_seed(config, outcome, recorder)
-}
-
-/// Assembles a [`SeedResult`] from a kernel outcome and closes out the
-/// recorder (wall-clock spans, end-of-run flush).
-fn finish_seed<R: Recorder>(
-    config: &RunConfig<'_>,
-    outcome: KernelOutcome,
-    recorder: &mut R,
-) -> SeedResult {
-    let total_wall = outcome.metrics.wall_clock_secs;
-    recorder.span("seed_warmup", outcome.warmup_wall);
-    recorder.span("seed_measurement", total_wall - outcome.warmup_wall);
-    recorder.finish(config.warmup + config.horizon);
     SeedResult {
         seed: config.seed,
         offered: outcome.offered,
@@ -585,86 +477,6 @@ fn finish_seed<R: Recorder>(
         per_pair_blocked: outcome.tally_blocked,
         metrics: outcome.metrics,
     }
-}
-
-/// Runs one replication with an explicit `(admission, selector)` pair
-/// instead of a named [`PolicyKind`] — the extension point for policies
-/// that are not (yet) named variants. Observers and counters behave
-/// exactly as in [`run_seed_instrumented`].
-///
-/// # Panics
-///
-/// As [`run_seed`].
-pub fn run_seed_with_policy<'p, A, Sel, S, R>(
-    config: &RunConfig<'_>,
-    admission: &mut A,
-    selector: &mut Sel,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult
-where
-    A: AdmissionPolicy,
-    Sel: RouteSelector<'p>,
-    S: TraceSink,
-    R: Recorder,
-{
-    run_seed_with_policy_warm(config, &[], None, admission, selector, sink, recorder)
-}
-
-/// As [`run_seed_with_policy`], with the two hooks an *online
-/// controller* needs: a warm start (`initial_occupancy`, as in
-/// [`run_seed_warm`]) and a periodic selector tick
-/// ([`KernelConfig::tick_interval`]): with `tick_interval =
-/// Some(window)` the kernel calls [`RouteSelector::tick`] at every
-/// window boundary, which is where a controlling selector re-estimates
-/// loads and pushes fresh levels through
-/// [`AdmissionPolicy::set_levels`]. With `initial_occupancy` empty and
-/// `tick_interval` `None` this *is* [`run_seed_with_policy`] — the
-/// controller hooks are byte-inert when unused, which is what keeps the
-/// existing golden traces valid.
-///
-/// # Panics
-///
-/// As [`run_seed`]; additionally if `initial_occupancy` is non-empty
-/// but not one entry per link, or `tick_interval` is non-positive
-/// (kernel contract).
-pub fn run_seed_with_policy_warm<'p, A, Sel, S, R>(
-    config: &RunConfig<'_>,
-    initial_occupancy: &[u32],
-    tick_interval: Option<f64>,
-    admission: &mut A,
-    selector: &mut Sel,
-    sink: &mut S,
-    recorder: &mut R,
-) -> SeedResult
-where
-    A: AdmissionPolicy,
-    Sel: RouteSelector<'p>,
-    S: TraceSink,
-    R: Recorder,
-{
-    let n = config.plan.topology().num_nodes();
-    assert_eq!(
-        config.traffic.num_nodes(),
-        n,
-        "traffic matrix size mismatch"
-    );
-    let (capacities, sources, link_events, mut kernel_config) = build_spec(config);
-    kernel_config.tick_interval = tick_interval;
-    let spec = KernelSpec {
-        config: kernel_config,
-        capacities: &capacities,
-        static_down: config.failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy,
-    };
-    let mut observer = Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-    let outcome = kernel::run(&spec, admission, selector, &mut observer);
-    finish_seed(config, outcome, recorder)
 }
 
 #[cfg(test)]
@@ -1093,7 +905,14 @@ mod tests {
             failures: &failures,
         };
         let mut writer = crate::trace::BinaryTraceWriter::new(cfg.seed, "outage-regression");
-        let r = run_seed_traced(&cfg, &mut writer);
+        let r = run_replication(
+            &cfg,
+            &mut KernelScratch::new(),
+            &[],
+            None,
+            NAMED_POLICY,
+            &mut writer,
+        );
         assert!(r.dropped > 0);
         let (_, records) = crate::trace::decode_trace(&writer.finish()).unwrap();
         use crate::trace::TraceRecordKind as K;

@@ -11,7 +11,7 @@
 //! [`Experiment::erlang_bound`] computes the cut-set lower bound for the
 //! same instance (accounting for statically failed links).
 
-use crate::engine::{run_seed_pooled, run_seed_recorded_pooled, RunConfig, SeedResult};
+use crate::engine::{run_replication, RunConfig, SeedResult, NAMED_POLICY};
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
 use altroute_core::policy::PolicyKind;
@@ -20,11 +20,11 @@ use altroute_netgraph::cuts;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::paths::min_hop_path;
 use altroute_netgraph::traffic::TrafficMatrix;
-use altroute_simcore::kernel::KernelScratch;
+use altroute_simcore::kernel::{KernelScratch, Recording};
 use altroute_simcore::metrics::EngineMetrics;
-use altroute_simcore::pool::{default_workers, pool_run_with};
+use altroute_simcore::pool::{default_workers, pool_record};
 use altroute_simcore::stats::Replications;
-use altroute_telemetry::{RunTelemetry, SpanProfile};
+use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry, SpanProfile};
 
 pub use altroute_simcore::pool::ProgressObserver;
 
@@ -213,29 +213,45 @@ impl Experiment {
         workers: usize,
         progress: Option<&dyn ProgressObserver>,
     ) -> ExperimentResult {
-        assert!(params.seeds > 0, "need at least one replication");
         let plan = self.plan_for(kind);
-        let per_seed = pool_run_with(
+        let (per_seed, _) = self.replicate(&plan, kind, params, workers, progress, || NullRecorder);
+        self.summarize(kind, per_seed)
+    }
+
+    /// The fan-out every entry point shares: `params.seeds` replications
+    /// of `kind` on `plan` over `workers` workers, each observed by a
+    /// fresh recorder from `recorder`. Results and recorders come back
+    /// in seed order.
+    fn replicate<R: Recorder + Send>(
+        &self,
+        plan: &RoutingPlan,
+        kind: PolicyKind,
+        params: &SimParams,
+        workers: usize,
+        progress: Option<&dyn ProgressObserver>,
+        recorder: impl Fn() -> R + Sync,
+    ) -> (Vec<SeedResult>, Vec<R>) {
+        assert!(params.seeds > 0, "need at least one replication");
+        pool_record(
             params.seeds as usize,
             workers,
             progress,
             KernelScratch::new,
-            |scratch, i| {
-                run_seed_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    scratch,
-                )
+            recorder,
+            |scratch, i, recorder| {
+                let config = RunConfig {
+                    plan,
+                    policy: kind,
+                    traffic: &self.traffic,
+                    warmup: params.warmup,
+                    horizon: params.horizon,
+                    seed: params.base_seed + i as u64,
+                    failures: &self.failures,
+                };
+                let mut observer = Recording(recorder);
+                run_replication(&config, scratch, &[], None, NAMED_POLICY, &mut observer)
             },
-        );
-        self.summarize(kind, per_seed)
+        )
     }
 
     fn summarize(&self, kind: PolicyKind, per_seed: Vec<SeedResult>) -> ExperimentResult {
@@ -290,50 +306,19 @@ impl Experiment {
         workers: usize,
         progress: Option<&dyn ProgressObserver>,
     ) -> (ExperimentResult, RunTelemetry) {
-        assert!(params.seeds > 0, "need at least one replication");
         let mut spans = SpanProfile::new();
         let plan = spans.time("plan_build", || self.plan_for(kind));
         let capacities: Vec<u32> = self.topo.links().iter().map(|l| l.capacity).collect();
         let fanout_started = std::time::Instant::now();
-        let recorded = pool_run_with(
-            params.seeds as usize,
-            workers,
-            progress,
-            KernelScratch::new,
-            |scratch, i| {
-                let mut telemetry =
-                    RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-                let result = run_seed_recorded_pooled(
-                    &RunConfig {
-                        plan: &plan,
-                        policy: kind,
-                        traffic: &self.traffic,
-                        warmup: params.warmup,
-                        horizon: params.horizon,
-                        seed: params.base_seed + i as u64,
-                        failures: &self.failures,
-                    },
-                    &mut telemetry,
-                    scratch,
-                );
-                (result, telemetry)
-            },
-        );
+        let (per_seed, recorded) = self.replicate(&plan, kind, params, workers, progress, || {
+            RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone())
+        });
         spans.add(
             "replication_fan_out",
             fanout_started.elapsed().as_secs_f64(),
         );
         let aggregation_started = std::time::Instant::now();
-        let mut per_seed = Vec::with_capacity(recorded.len());
-        let mut merged: Option<RunTelemetry> = None;
-        for (result, telemetry) in recorded {
-            per_seed.push(result);
-            match &mut merged {
-                None => merged = Some(telemetry),
-                Some(m) => m.merge(&telemetry),
-            }
-        }
-        let mut telemetry = merged.expect("at least one replication");
+        let mut telemetry = RunTelemetry::merged(recorded);
         let result = self.summarize(kind, per_seed);
         spans.add("aggregation", aggregation_started.elapsed().as_secs_f64());
         telemetry.spans.merge(&spans);

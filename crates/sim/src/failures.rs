@@ -8,16 +8,9 @@
 
 use altroute_netgraph::graph::LinkId;
 
-/// A timed link state change.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureEvent {
-    /// The link affected.
-    pub link: LinkId,
-    /// Simulation time of the change.
-    pub at: f64,
-    /// `false` = goes down, `true` = comes back up.
-    pub up: bool,
-}
+/// A timed link state change — the kernel's own event type, so a
+/// schedule hands its events to the kernel without conversion.
+pub use altroute_simcore::kernel::LinkEvent as FailureEvent;
 
 /// A failure plan for one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]

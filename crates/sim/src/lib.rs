@@ -8,7 +8,9 @@
 //!   arrivals per origin–destination pair (independent per-pair random
 //!   streams so **every policy sees identical arrivals and holding
 //!   times**, as in the paper), exponential unit-mean holding times,
-//!   warm-up deletion, scheduled link failures/repairs.
+//!   warm-up deletion, scheduled link failures/repairs. Every
+//!   replication runs through [`engine::run_replication`] (warm start,
+//!   selector tick, named or explicit policy, any kernel observer).
 //! * [`experiment`] — the multi-seed experiment runner: replications in
 //!   parallel (a bounded scoped-thread worker pool), across-seed
 //!   summaries, per-pair blocking for the fairness/skewness study, and
@@ -22,9 +24,10 @@
 //! * [`multirate`] — calls of multiple bandwidth classes (the paper's
 //!   excluded "multiple call types"), with bandwidth-weighted admission
 //!   and protection, validated against the Kaufman–Roberts recursion.
-//! * [`trace`] — event-trace hooks: a [`trace::TraceSink`] observes every
-//!   engine event, with a compact versioned binary codec used by the
-//!   conformance crate's golden-trace replay.
+//! * [`trace`] — event traces: [`trace::BinaryTraceWriter`] observes
+//!   every engine event through the kernel's observer hooks and writes a
+//!   compact versioned binary codec used by the conformance crate's
+//!   golden-trace replay.
 //!
 //! # Example
 //!
@@ -56,8 +59,8 @@ pub mod signaling;
 pub mod trace;
 
 pub use engine::{
-    apply_static_failures, run_seed, run_seed_instrumented, run_seed_recorded, run_seed_traced,
-    RunConfig, SeedResult,
+    apply_static_failures, run_replication, run_seed, run_seed_recorded, PolicyChoice, RunConfig,
+    SeedResult, NAMED_POLICY,
 };
 pub use experiment::{Experiment, ExperimentError, ExperimentResult, SimParams};
 pub use failures::FailureSchedule;

@@ -17,21 +17,21 @@
 //! [`ArrivalSource`] whose `bandwidth` the kernel books and the
 //! admission policy tests, and whose `tally` is the class index — the
 //! kernel's tally vectors *are* the per-class offered/blocked counts.
-//! Replications fan out over [`pool_run`] and dynamic link failures are
-//! honoured (calls in progress are torn down, the paper's outage model).
+//! Replications fan out over [`pool_record`] and dynamic link failures
+//! are honoured (calls in progress are torn down, the paper's outage
+//! model).
 
 use crate::failures::FailureSchedule;
-use crate::trace::{NullTraceSink, TraceSink};
 use altroute_core::plan::RoutingPlan;
 use altroute_core::primary::PrimaryAssignment;
 use altroute_core::select::TieredSelector;
 use altroute_netgraph::graph::Topology;
 use altroute_netgraph::traffic::TrafficMatrix;
 use altroute_simcore::kernel::{
-    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, LinkEvent, TrunkReservation,
+    self, ArrivalSource, KernelConfig, KernelScratch, KernelSpec, Recording, TrunkReservation,
     Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run_with};
+use altroute_simcore::pool::{default_workers, pool_record};
 use altroute_simcore::stats::BlockingSummary;
 use altroute_telemetry::{NullRecorder, Recorder, RunTelemetry};
 use altroute_teletraffic::reservation::protection_level;
@@ -115,21 +115,15 @@ impl MultirateResult {
     }
 }
 
-/// Everything state-independent a multirate run needs: the plan built
-/// from the bandwidth-weighted aggregate traffic plus the Eq.-15 levels.
-struct MultiratePlan {
-    plan: RoutingPlan,
-    levels: Vec<u32>,
-}
-
+/// Builds the plan from the bandwidth-weighted aggregate traffic (it
+/// also supplies candidates and primaries, identical across classes)
+/// and its Eq.-15 protection levels.
 fn build_plan(
     topo: &Topology,
     classes: &[BandwidthClass],
     params: &MultirateParams,
-) -> MultiratePlan {
+) -> (RoutingPlan, Vec<u32>) {
     let n = topo.num_nodes();
-    // Aggregate bandwidth-weighted traffic for protection levels; the
-    // plan also supplies candidates/primaries (identical across classes).
     let mut weighted = TrafficMatrix::zero(n);
     for (i, j) in topo.ordered_pairs() {
         let total: f64 = classes
@@ -146,7 +140,7 @@ fn build_plan(
         .zip(topo.links())
         .map(|(&a, l)| protection_level(a, l.capacity, params.max_hops))
         .collect();
-    MultiratePlan { plan, levels }
+    (plan, levels)
 }
 
 /// Runs a multirate experiment on `topo` with min-hop primaries,
@@ -180,29 +174,17 @@ pub fn run_multirate_with_workers(
     failures: &FailureSchedule,
     workers: usize,
 ) -> MultirateResult {
-    validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
-    let runs = pool_run_with(
-        params.seeds as usize,
-        workers,
+    replicate(
+        topo,
+        classes,
+        policy,
+        params,
+        failures,
         None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    summarize(policy, classes, &runs)
+        workers,
+        || NullRecorder,
+    )
+    .0
 }
 
 /// As [`run_multirate_with_workers`], but with the Eq.-15 protection
@@ -224,31 +206,18 @@ pub fn run_multirate_with_levels(
     levels: &[u32],
     workers: usize,
 ) -> MultirateResult {
-    validate(topo, classes, params);
-    assert_eq!(levels.len(), topo.num_links(), "one level per link");
-    let mut mp = build_plan(topo, classes, params);
-    mp.levels = levels.to_vec();
-    let runs = pool_run_with(
-        params.seeds as usize,
+    let levels = Some(levels);
+    replicate(
+        topo,
+        classes,
+        policy,
+        params,
+        failures,
+        levels,
         workers,
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut NullRecorder,
-                scratch,
-            )
-        },
-    );
-    summarize(policy, classes, &runs)
+        || NullRecorder,
+    )
+    .0
 }
 
 /// As [`run_multirate`], but every replication additionally records
@@ -267,45 +236,32 @@ pub fn run_multirate_telemetry(
     failures: &FailureSchedule,
     window: f64,
 ) -> (MultirateResult, RunTelemetry) {
-    validate(topo, classes, params);
-    let mp = build_plan(topo, classes, params);
+    let workers = default_workers();
+    run_multirate_telemetry_with_workers(topo, classes, policy, params, failures, window, workers)
+}
+
+/// As [`run_multirate_telemetry`] with an explicit worker count. Results
+/// and the snapshot's deterministic fields are bit-identical for every
+/// `workers` value.
+///
+/// # Panics
+///
+/// As [`run_multirate_telemetry`]; additionally if `workers == 0`.
+pub fn run_multirate_telemetry_with_workers(
+    topo: &Topology,
+    classes: &[BandwidthClass],
+    policy: MultiratePolicy,
+    params: &MultirateParams,
+    failures: &FailureSchedule,
+    window: f64,
+    workers: usize,
+) -> (MultirateResult, RunTelemetry) {
     let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run_with(
-        params.seeds as usize,
-        default_workers(),
-        None,
-        KernelScratch::new,
-        |scratch, i| {
-            let seed = params.base_seed + i as u64;
-            let mut telemetry =
-                RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
-            let run = run_one(
-                &mp,
-                classes,
-                policy,
-                params,
-                seed,
-                failures,
-                &mut NullTraceSink,
-                &mut telemetry,
-                scratch,
-            );
-            (run, telemetry)
-        },
+    let telemetry = || RunTelemetry::new(params.warmup, params.horizon, window, capacities.clone());
+    let (result, recorded) = replicate(
+        topo, classes, policy, params, failures, None, workers, telemetry,
     );
-    let mut merged: Option<RunTelemetry> = None;
-    let mut runs = Vec::with_capacity(recorded.len());
-    for (run, telemetry) in recorded {
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-        runs.push(run);
-    }
-    (
-        summarize(policy, classes, &runs),
-        merged.expect("at least one replication"),
-    )
+    (result, RunTelemetry::merged(recorded))
 }
 
 fn validate(topo: &Topology, classes: &[BandwidthClass], params: &MultirateParams) {
@@ -318,39 +274,134 @@ fn validate(topo: &Topology, classes: &[BandwidthClass], params: &MultirateParam
     }
 }
 
-struct OneRun {
-    offered: Vec<u64>,
-    blocked: Vec<u64>,
+/// The body every entry point shares: validates the inputs, builds the
+/// plan (`levels` overriding its Eq.-15 levels), and fans
+/// `params.seeds` kernel replications out over `workers` workers, each
+/// observed by a fresh recorder from `recorder`.
+///
+/// Each (class, pair) is one arrival source, in class-major order — the
+/// stream id layout (`ci·n² + pair`) keeps the common random numbers of
+/// the single-rate engine for class 0 of an n-node network — and tallies
+/// into its class's slot.
+#[allow(clippy::too_many_arguments)]
+fn replicate<R: Recorder + Send>(
+    topo: &Topology,
+    classes: &[BandwidthClass],
+    policy: MultiratePolicy,
+    params: &MultirateParams,
+    failures: &FailureSchedule,
+    levels: Option<&[u32]>,
+    workers: usize,
+    recorder: impl Fn() -> R + Sync,
+) -> (MultirateResult, Vec<R>) {
+    validate(topo, classes, params);
+    let (plan, mut protection) = build_plan(topo, classes, params);
+    if let Some(levels) = levels {
+        assert_eq!(levels.len(), topo.num_links(), "one level per link");
+        protection = levels.to_vec();
+    }
+    let n = topo.num_nodes();
+    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
+    let mut sources = Vec::new();
+    for (ci, class) in classes.iter().enumerate() {
+        for (i, j, t) in class.traffic.demands() {
+            let id = ci * n * n + i * n + j;
+            sources.push(ArrivalSource {
+                stream: id as u64,
+                src: i,
+                dst: j,
+                rate: t,
+                bandwidth: class.bandwidth,
+                tag: id as u32,
+                tally: ci as u32,
+            });
+        }
+    }
+    let base = KernelSpec {
+        config: KernelConfig {
+            warmup: params.warmup,
+            horizon: params.horizon,
+            seed: params.base_seed,
+            draw_pick: true,
+            tick_interval: None,
+            tally_slots: classes.len(),
+        },
+        capacities: &capacities,
+        static_down: failures.statically_down(),
+        sources: &sources,
+        link_events: failures.events(),
+        initial_occupancy: &[],
+    };
+    let (runs, recorded) = pool_record(
+        params.seeds as usize,
+        workers,
+        None,
+        KernelScratch::new,
+        recorder,
+        |scratch, i, recorder| {
+            let config = KernelConfig {
+                seed: base.config.seed + i as u64,
+                ..base.config
+            };
+            let spec = KernelSpec { config, ..base };
+            let mut observer = Recording(recorder);
+            let outcome = match policy {
+                MultiratePolicy::SinglePath => kernel::run_pooled(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut TieredSelector::single_path(&plan),
+                    &mut observer,
+                    scratch,
+                ),
+                MultiratePolicy::Uncontrolled => kernel::run_pooled(
+                    &spec,
+                    &mut Uncontrolled,
+                    &mut TieredSelector::new(&plan),
+                    &mut observer,
+                    scratch,
+                ),
+                MultiratePolicy::Controlled => kernel::run_pooled(
+                    &spec,
+                    &mut TrunkReservation::new(protection.clone()),
+                    &mut TieredSelector::new(&plan),
+                    &mut observer,
+                    scratch,
+                ),
+            };
+            (outcome.tally_offered, outcome.tally_blocked)
+        },
+    );
+    (summarize(policy, classes, &runs), recorded)
 }
 
+/// Pools per-seed `(offered, blocked)` per-class tallies into the
+/// across-seed result.
 fn summarize(
     policy: MultiratePolicy,
     classes: &[BandwidthClass],
-    runs: &[OneRun],
+    runs: &[(Vec<u64>, Vec<u64>)],
 ) -> MultirateResult {
     let mut class_offered = vec![0u64; classes.len()];
     let mut class_blocked = vec![0u64; classes.len()];
     let mut call_counts = Vec::with_capacity(runs.len());
     let mut bw_counts = Vec::with_capacity(runs.len());
-    for run in runs {
-        call_counts.push((run.offered.iter().sum(), run.blocked.iter().sum()));
-        let offered_bw: u64 = run
-            .offered
+    for (offered, blocked) in runs {
+        call_counts.push((offered.iter().sum(), blocked.iter().sum()));
+        let offered_bw: u64 = offered
             .iter()
             .zip(classes)
             .map(|(&o, c)| o * u64::from(c.bandwidth))
             .sum();
-        let blocked_bw: u64 = run
-            .blocked
+        let blocked_bw: u64 = blocked
             .iter()
             .zip(classes)
             .map(|(&b, c)| b * u64::from(c.bandwidth))
             .sum();
         bw_counts.push((offered_bw, blocked_bw));
-        for (acc, v) in class_offered.iter_mut().zip(&run.offered) {
+        for (acc, v) in class_offered.iter_mut().zip(offered) {
             *acc += v;
         }
-        for (acc, v) in class_blocked.iter_mut().zip(&run.blocked) {
+        for (acc, v) in class_blocked.iter_mut().zip(blocked) {
             *acc += v;
         }
     }
@@ -364,112 +415,6 @@ fn summarize(
         blocking: BlockingSummary::from_counts(call_counts),
         per_class_blocking,
         bandwidth_blocking: BlockingSummary::from_counts(bw_counts),
-    }
-}
-
-/// The kernel's static description of one multirate replication: one
-/// arrival source per (class, pair), in class-major order — the stream
-/// id layout (`ci·n² + pair`) keeps the common random numbers of the
-/// single-rate engine for class 0 of an n-node network.
-fn build_parts(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-) -> (Vec<u32>, Vec<ArrivalSource>, Vec<LinkEvent>, KernelConfig) {
-    let topo = mp.plan.topology();
-    let n = topo.num_nodes();
-    let capacities: Vec<u32> = topo.links().iter().map(|l| l.capacity).collect();
-    let mut sources = Vec::new();
-    for (ci, class) in classes.iter().enumerate() {
-        for (i, j, t) in class.traffic.demands() {
-            let pair = i * n + j;
-            sources.push(ArrivalSource {
-                stream: (ci * n * n + pair) as u64,
-                src: i,
-                dst: j,
-                rate: t,
-                bandwidth: class.bandwidth,
-                tag: (ci * n * n + pair) as u32,
-                tally: ci as u32,
-            });
-        }
-    }
-    let link_events: Vec<LinkEvent> = failures
-        .events()
-        .iter()
-        .map(|ev| LinkEvent {
-            at: ev.at,
-            link: ev.link,
-            up: ev.up,
-        })
-        .collect();
-    let config = KernelConfig {
-        warmup: params.warmup,
-        horizon: params.horizon,
-        seed,
-        draw_pick: true,
-        tick_interval: None,
-        tally_slots: classes.len(),
-    };
-    (capacities, sources, link_events, config)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one<S: TraceSink, R: Recorder>(
-    mp: &MultiratePlan,
-    classes: &[BandwidthClass],
-    policy: MultiratePolicy,
-    params: &MultirateParams,
-    seed: u64,
-    failures: &FailureSchedule,
-    sink: &mut S,
-    recorder: &mut R,
-    scratch: &mut KernelScratch,
-) -> OneRun {
-    let plan = &mp.plan;
-    let (capacities, sources, link_events, config) =
-        build_parts(mp, classes, params, seed, failures);
-    let spec = KernelSpec {
-        config,
-        capacities: &capacities,
-        static_down: failures.statically_down(),
-        sources: &sources,
-        link_events: &link_events,
-        initial_occupancy: &[],
-    };
-    let mut observer = crate::engine::Instruments {
-        sink,
-        recorder: &mut *recorder,
-    };
-    let outcome = match policy {
-        MultiratePolicy::SinglePath => kernel::run_pooled(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::single_path(plan),
-            &mut observer,
-            scratch,
-        ),
-        MultiratePolicy::Uncontrolled => kernel::run_pooled(
-            &spec,
-            &mut Uncontrolled,
-            &mut TieredSelector::new(plan),
-            &mut observer,
-            scratch,
-        ),
-        MultiratePolicy::Controlled => kernel::run_pooled(
-            &spec,
-            &mut TrunkReservation::new(mp.levels.clone()),
-            &mut TieredSelector::new(plan),
-            &mut observer,
-            scratch,
-        ),
-    };
-    recorder.finish(params.warmup + params.horizon);
-    OneRun {
-        offered: outcome.tally_offered,
-        blocked: outcome.tally_blocked,
     }
 }
 
@@ -659,6 +604,46 @@ mod tests {
         assert_eq!(r.per_class_blocking, plain.per_class_blocking);
         // The recorder saw every measured arrival of every seed.
         assert!(telemetry.offered > 0, "telemetry counted arrivals");
+    }
+
+    #[test]
+    fn telemetry_and_results_match_across_worker_counts() {
+        let topo = topologies::quadrangle();
+        let classes = [
+            BandwidthClass {
+                bandwidth: 1,
+                traffic: TrafficMatrix::uniform(4, 40.0),
+            },
+            BandwidthClass {
+                bandwidth: 3,
+                traffic: TrafficMatrix::uniform(4, 8.0),
+            },
+        ];
+        let params = MultirateParams {
+            warmup: 5.0,
+            horizon: 30.0,
+            seeds: 4,
+            base_seed: 17,
+            max_hops: 3,
+        };
+        let link01 = topo.link_between(0, 1).unwrap();
+        let failures = FailureSchedule::none().with_outage(link01, 10.0, 20.0);
+        let run = |workers| {
+            run_multirate_telemetry_with_workers(
+                &topo,
+                &classes,
+                MultiratePolicy::Controlled,
+                &params,
+                &failures,
+                5.0,
+                workers,
+            )
+        };
+        let (one, one_telemetry) = run(1);
+        let (three, three_telemetry) = run(3);
+        assert_eq!(one, three);
+        assert_eq!(one_telemetry, three_telemetry);
+        assert_eq!(one_telemetry.replications, 4);
     }
 
     #[test]

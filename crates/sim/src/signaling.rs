@@ -33,8 +33,8 @@
 //! go through the same [`AdmissionPolicy`] objects ([`Uncontrolled`],
 //! [`TrunkReservation`]) the atomic engines use, so the admission
 //! semantics can never drift between the idealised and signaling models.
-//! Replications fan out over [`pool_run`] and a [`Recorder`] can observe
-//! every run.
+//! Replications fan out over [`pool_record`] and a [`Recorder`] can
+//! observe every run.
 
 use crate::failures::FailureSchedule;
 use altroute_core::plan::RoutingPlan;
@@ -44,7 +44,7 @@ use altroute_simcore::calendar::CalendarQueue;
 use altroute_simcore::kernel::{
     AdmissionPolicy, LinkOccupancy, Tier, TrunkReservation, Uncontrolled,
 };
-use altroute_simcore::pool::{default_workers, pool_run};
+use altroute_simcore::pool::{default_workers, pool_record};
 use altroute_simcore::rng::StreamFactory;
 use altroute_simcore::stats::{BlockingSummary, RunningStats};
 use altroute_telemetry::{ArrivalOutcome, NullRecorder, Recorder, RunTelemetry};
@@ -183,15 +183,7 @@ pub fn run_signaling_replications(
     config: &SignalingConfig,
     seeds: u32,
 ) -> (Vec<SignalingResult>, BlockingSummary) {
-    assert!(seeds > 0, "need at least one replication");
-    let per_seed = pool_run(seeds as usize, default_workers(), None, |i| {
-        let cfg = SignalingConfig {
-            seed: config.seed + i as u64,
-            ..*config
-        };
-        run_signaling(plan, traffic, failures, &cfg)
-    });
-    let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
+    let (per_seed, summary, _) = replicate(plan, traffic, failures, config, seeds, || NullRecorder);
     (per_seed, summary)
 }
 
@@ -212,29 +204,41 @@ pub fn run_signaling_telemetry(
     seeds: u32,
     window: f64,
 ) -> (Vec<SignalingResult>, BlockingSummary, RunTelemetry) {
-    assert!(seeds > 0, "need at least one replication");
     let capacities: Vec<u32> = plan.topology().links().iter().map(|l| l.capacity).collect();
-    let recorded = pool_run(seeds as usize, default_workers(), None, |i| {
-        let cfg = SignalingConfig {
-            seed: config.seed + i as u64,
-            ..*config
-        };
-        let mut telemetry =
-            RunTelemetry::new(config.warmup, config.horizon, window, capacities.clone());
-        let r = run_signaling_recorded(plan, traffic, failures, &cfg, &mut telemetry);
-        (r, telemetry)
+    let (per_seed, summary, recorded) = replicate(plan, traffic, failures, config, seeds, || {
+        RunTelemetry::new(config.warmup, config.horizon, window, capacities.clone())
     });
-    let mut per_seed = Vec::with_capacity(recorded.len());
-    let mut merged: Option<RunTelemetry> = None;
-    for (r, telemetry) in recorded {
-        per_seed.push(r);
-        match &mut merged {
-            None => merged = Some(telemetry),
-            Some(m) => m.merge(&telemetry),
-        }
-    }
+    (per_seed, summary, RunTelemetry::merged(recorded))
+}
+
+/// The fan-out both replication entry points share: `seeds`
+/// replications, each observed by a fresh recorder from `recorder`, in
+/// seed order.
+fn replicate<R: Recorder + Send>(
+    plan: &RoutingPlan,
+    traffic: &TrafficMatrix,
+    failures: &FailureSchedule,
+    config: &SignalingConfig,
+    seeds: u32,
+    recorder: impl Fn() -> R + Sync,
+) -> (Vec<SignalingResult>, BlockingSummary, Vec<R>) {
+    assert!(seeds > 0, "need at least one replication");
+    let (per_seed, recorded) = pool_record(
+        seeds as usize,
+        default_workers(),
+        None,
+        || (),
+        recorder,
+        |(), i, recorder| {
+            let cfg = SignalingConfig {
+                seed: config.seed + i as u64,
+                ..*config
+            };
+            run_signaling_recorded(plan, traffic, failures, &cfg, recorder)
+        },
+    );
     let summary = BlockingSummary::from_counts(per_seed.iter().map(|r| (r.offered, r.blocked)));
-    (per_seed, summary, merged.expect("at least one replication"))
+    (per_seed, summary, recorded)
 }
 
 /// As [`run_signaling`] with a telemetry [`Recorder`] attached. The

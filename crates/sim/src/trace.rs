@@ -1,15 +1,17 @@
 //! Event-trace hooks for the simulation engine.
 //!
-//! A [`TraceSink`] observes every event the engine processes — arrivals
-//! (with the routing decision taken), departures (including stale ones
-//! rejected by the generational call table), failure teardowns, and link
-//! state changes. [`run_seed_traced`](crate::engine::run_seed_traced)
-//! threads a sink through the event loop; the default
-//! [`NullTraceSink`] compiles to nothing, so the untraced
+//! A trace is the kernel's event stream as its [`KernelObserver`] hooks
+//! report it — arrivals (with the routing decision taken), departures
+//! (including stale ones rejected by the generational call table),
+//! failure teardowns, and link state changes.
+//! [`run_replication`](crate::engine::run_replication) threads any
+//! observer through the event loop; the no-op [`NullTraceSink`] (the
+//! kernel's [`NullObserver`](altroute_simcore::kernel::NullObserver))
+//! compiles to nothing, so the untraced
 //! [`run_seed`](crate::engine::run_seed) path pays no cost.
 //!
-//! [`BinaryTraceWriter`] serialises the stream into the compact
-//! versioned format documented below, and [`decode_trace`] /
+//! [`BinaryTraceWriter`] is the observer that serialises the stream into
+//! the compact versioned format documented below, and [`decode_trace`] /
 //! [`diff_traces`] turn two byte blobs into a first-divergence report.
 //! The conformance crate checks traces of fixed scenarios into the repo
 //! as *golden traces*: any change to event ordering, RNG stream layout,
@@ -40,7 +42,7 @@
 //! ```
 
 use altroute_core::policy::CallClass;
-use altroute_netgraph::graph::LinkId;
+use altroute_simcore::kernel::{KernelObserver, Link, Tier};
 use altroute_telemetry::flight::{FlightEvent, FlightRing, FLIGHT_MAX_HOPS};
 use std::cell::RefCell;
 use std::fmt;
@@ -50,51 +52,8 @@ pub const TRACE_FORMAT_VERSION: u16 = 1;
 
 const MAGIC: [u8; 4] = *b"ALTR";
 
-/// The routing outcome of one arrival, as seen by a [`TraceSink`].
-#[derive(Debug, Clone, Copy)]
-pub enum TraceDecision<'a> {
-    /// The call was blocked.
-    Blocked,
-    /// The call was carried over `links`.
-    Routed {
-        /// Primary or alternate.
-        class: CallClass,
-        /// The links of the booked path, in path order.
-        links: &'a [LinkId],
-    },
-}
-
-/// Observer of the engine's event stream.
-///
-/// Implementations must be cheap: the engine calls a method per event.
-/// The no-op [`NullTraceSink`] keeps the untraced path free.
-pub trait TraceSink {
-    /// A call arrived for `pair` and the router decided `decision`.
-    fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>);
-    /// A departure event fired for call handle `(call, gen)`; `stale` is
-    /// true when the generational table rejected it (the call was torn
-    /// down earlier and the slot possibly reused).
-    fn departure(&mut self, time: f64, call: u32, gen: u32, stale: bool);
-    /// A link failure tore down the in-progress call `(call, gen)`.
-    fn teardown(&mut self, time: f64, call: u32, gen: u32);
-    /// A link changed operational state.
-    fn link_change(&mut self, time: f64, link: u32, up: bool);
-}
-
-/// A [`TraceSink`] that records nothing — the default for untraced runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTraceSink;
-
-impl TraceSink for NullTraceSink {
-    #[inline(always)]
-    fn arrival(&mut self, _: f64, _: u32, _: TraceDecision<'_>) {}
-    #[inline(always)]
-    fn departure(&mut self, _: f64, _: u32, _: u32, _: bool) {}
-    #[inline(always)]
-    fn teardown(&mut self, _: f64, _: u32, _: u32) {}
-    #[inline(always)]
-    fn link_change(&mut self, _: f64, _: u32, _: bool) {}
-}
+/// The observer that records nothing — the default for untraced runs.
+pub use altroute_simcore::kernel::NullObserver as NullTraceSink;
 
 /// Serialises the event stream into the version-1 binary format.
 #[derive(Debug, Clone)]
@@ -134,27 +93,32 @@ impl BinaryTraceWriter {
     }
 }
 
-impl TraceSink for BinaryTraceWriter {
-    fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>) {
-        match decision {
-            TraceDecision::Blocked => {
-                self.record(0, time);
-                self.u32(pair);
-            }
-            TraceDecision::Routed { class, links } => {
-                let tag = match class {
-                    CallClass::Primary => 1,
-                    CallClass::Alternate => 2,
-                };
-                self.record(tag, time);
-                self.u32(pair);
-                let hops = u8::try_from(links.len()).expect("paths have < 256 hops");
-                self.bytes.push(hops);
-                for &l in links {
-                    self.u32(u32::try_from(l).expect("link id fits in u32"));
-                }
-            }
+impl KernelObserver for BinaryTraceWriter {
+    fn arrival_routed(
+        &mut self,
+        time: f64,
+        pair: u32,
+        tier: Tier,
+        links: &[Link],
+        _: f64,
+        _: bool,
+    ) {
+        let tag = match tier {
+            Tier::Primary => 1,
+            Tier::Alternate => 2,
+        };
+        self.record(tag, time);
+        self.u32(pair);
+        let hops = u8::try_from(links.len()).expect("paths have < 256 hops");
+        self.bytes.push(hops);
+        for &l in links {
+            self.u32(u32::try_from(l).expect("link id fits in u32"));
         }
+    }
+
+    fn arrival_blocked(&mut self, time: f64, pair: u32, _: f64, _: bool) {
+        self.record(0, time);
+        self.u32(pair);
     }
 
     fn departure(&mut self, time: f64, call: u32, gen: u32, stale: bool) {
@@ -163,7 +127,7 @@ impl TraceSink for BinaryTraceWriter {
         self.u32(gen);
     }
 
-    fn teardown(&mut self, time: f64, call: u32, gen: u32) {
+    fn teardown(&mut self, time: f64, call: u32, gen: u32, _: bool) {
         self.record(5, time);
         self.u32(call);
         self.u32(gen);
@@ -455,7 +419,7 @@ impl fmt::Display for TraceDiff {
     }
 }
 
-/// A [`TraceSink`] that feeds the anomaly flight recorder.
+/// A [`KernelObserver`] that feeds the anomaly flight recorder.
 ///
 /// Every engine event is mapped to a [`FlightEvent`] and pushed into the
 /// shared [`FlightRing`]; once a trigger freezes the ring, pushes become
@@ -481,26 +445,34 @@ impl<'a> FlightSink<'a> {
     }
 }
 
-impl TraceSink for FlightSink<'_> {
-    fn arrival(&mut self, time: f64, pair: u32, decision: TraceDecision<'_>) {
-        let event = match decision {
-            TraceDecision::Blocked => FlightEvent::Blocked { time, pair },
-            TraceDecision::Routed { class, links } => {
-                let hops = links.len().min(FLIGHT_MAX_HOPS);
-                let mut inline = [0u32; FLIGHT_MAX_HOPS];
-                for (slot, &l) in inline.iter_mut().zip(links.iter().take(hops)) {
-                    *slot = u32::try_from(l).expect("link id fits in u32");
-                }
-                FlightEvent::Routed {
-                    time,
-                    pair,
-                    alternate: matches!(class, CallClass::Alternate),
-                    hops: hops as u8,
-                    links: inline,
-                }
-            }
-        };
-        self.ring.borrow_mut().push(event);
+impl KernelObserver for FlightSink<'_> {
+    fn arrival_routed(
+        &mut self,
+        time: f64,
+        pair: u32,
+        tier: Tier,
+        links: &[Link],
+        _: f64,
+        _: bool,
+    ) {
+        let hops = links.len().min(FLIGHT_MAX_HOPS);
+        let mut inline = [0u32; FLIGHT_MAX_HOPS];
+        for (slot, &l) in inline.iter_mut().zip(links.iter().take(hops)) {
+            *slot = u32::try_from(l).expect("link id fits in u32");
+        }
+        self.ring.borrow_mut().push(FlightEvent::Routed {
+            time,
+            pair,
+            alternate: tier == Tier::Alternate,
+            hops: hops as u8,
+            links: inline,
+        });
+    }
+
+    fn arrival_blocked(&mut self, time: f64, pair: u32, _: f64, _: bool) {
+        self.ring
+            .borrow_mut()
+            .push(FlightEvent::Blocked { time, pair });
     }
 
     fn departure(&mut self, time: f64, call: u32, gen: u32, stale: bool) {
@@ -512,7 +484,7 @@ impl TraceSink for FlightSink<'_> {
         });
     }
 
-    fn teardown(&mut self, time: f64, call: u32, gen: u32) {
+    fn teardown(&mut self, time: f64, call: u32, gen: u32, _: bool) {
         self.ring.borrow_mut().push(FlightEvent::Teardown {
             time,
             call,
@@ -534,9 +506,7 @@ pub fn encode_flight(ring: &FlightRing, seed: u64, label: &str) -> Vec<u8> {
     let mut w = BinaryTraceWriter::new(seed, label);
     for event in ring.events() {
         match *event {
-            FlightEvent::Blocked { time, pair } => {
-                w.arrival(time, pair, TraceDecision::Blocked);
-            }
+            FlightEvent::Blocked { time, pair } => w.arrival_blocked(time, pair, 0.0, false),
             FlightEvent::Routed {
                 time,
                 pair,
@@ -544,23 +514,13 @@ pub fn encode_flight(ring: &FlightRing, seed: u64, label: &str) -> Vec<u8> {
                 hops,
                 links,
             } => {
-                let path: Vec<LinkId> = links[..hops as usize]
-                    .iter()
-                    .map(|&l| l as LinkId)
-                    .collect();
-                let class = if alternate {
-                    CallClass::Alternate
+                let path: Vec<Link> = links[..hops as usize].iter().map(|&l| l as Link).collect();
+                let tier = if alternate {
+                    Tier::Alternate
                 } else {
-                    CallClass::Primary
+                    Tier::Primary
                 };
-                w.arrival(
-                    time,
-                    pair,
-                    TraceDecision::Routed {
-                        class,
-                        links: &path,
-                    },
-                );
+                w.arrival_routed(time, pair, tier, &path, 0.0, false);
             }
             FlightEvent::Departure {
                 time,
@@ -572,7 +532,7 @@ pub fn encode_flight(ring: &FlightRing, seed: u64, label: &str) -> Vec<u8> {
                 time,
                 call,
                 generation,
-            } => w.teardown(time, call, generation),
+            } => w.teardown(time, call, generation, false),
             FlightEvent::Link { time, link, up } => w.link_change(time, link, up),
         }
     }
@@ -618,17 +578,10 @@ mod tests {
 
     fn sample_trace() -> Vec<u8> {
         let mut w = BinaryTraceWriter::new(42, "unit");
-        w.arrival(
-            0.5,
-            3,
-            TraceDecision::Routed {
-                class: CallClass::Primary,
-                links: &[1usize, 7],
-            },
-        );
-        w.arrival(0.75, 3, TraceDecision::Blocked);
+        w.arrival_routed(0.5, 3, Tier::Primary, &[1, 7], 1.0, true);
+        w.arrival_blocked(0.75, 3, 1.0, true);
         w.link_change(1.0, 2, false);
-        w.teardown(1.0, 0, 0);
+        w.teardown(1.0, 0, 0, true);
         w.departure(1.5, 0, 1, true);
         w.link_change(2.0, 2, true);
         w.finish()
@@ -669,23 +622,9 @@ mod tests {
         assert!(diff_traces(&a, &a).unwrap().is_identical());
 
         let mut w = BinaryTraceWriter::new(42, "unit");
-        w.arrival(
-            0.5,
-            3,
-            TraceDecision::Routed {
-                class: CallClass::Primary,
-                links: &[1usize, 7],
-            },
-        );
+        w.arrival_routed(0.5, 3, Tier::Primary, &[1, 7], 1.0, true);
         // Second event differs: routed instead of blocked.
-        w.arrival(
-            0.75,
-            3,
-            TraceDecision::Routed {
-                class: CallClass::Alternate,
-                links: &[4usize],
-            },
-        );
+        w.arrival_routed(0.75, 3, Tier::Alternate, &[4], 1.0, true);
         let b = w.finish();
         match diff_traces(&a, &b).unwrap() {
             TraceDiff::Record { index, .. } => assert_eq!(index, 1),
@@ -724,29 +663,15 @@ mod tests {
         let ring = RefCell::new(FlightRing::new(3));
         let mut sink = FlightSink::new(&ring);
         // Four events into a 3-slot ring: the first is evicted.
-        sink.arrival(
-            0.5,
-            3,
-            TraceDecision::Routed {
-                class: CallClass::Primary,
-                links: &[1usize, 7],
-            },
-        );
-        sink.arrival(
-            0.75,
-            4,
-            TraceDecision::Routed {
-                class: CallClass::Alternate,
-                links: &[2usize],
-            },
-        );
-        sink.arrival(1.0, 3, TraceDecision::Blocked);
+        sink.arrival_routed(0.5, 3, Tier::Primary, &[1, 7], 1.0, true);
+        sink.arrival_routed(0.75, 4, Tier::Alternate, &[2], 1.0, true);
+        sink.arrival_blocked(1.0, 3, 1.0, true);
         sink.departure(1.5, 0, 1, true);
         ring.borrow_mut().freeze(TriggerReason::ModeSwitch {
             at: 2.0,
             to: Mode::High,
         });
-        sink.teardown(2.5, 9, 9); // dropped: the ring is frozen
+        sink.teardown(2.5, 9, 9, true); // dropped: the ring is frozen
 
         let bytes = encode_flight(&ring.borrow(), 42, "flight:unit");
         let (header, records) = decode_trace(&bytes).expect("flight dump decodes");

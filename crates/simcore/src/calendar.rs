@@ -130,7 +130,7 @@ impl<E> CalendarQueue<E> {
     /// assertions disabled a past-time event is ordered as if it fired
     /// at the earliest still poppable instant. Non-finite times are
     /// rejected here, at the insertion site — an infinite timestamp
-    /// used to survive until [`estimate_width`]'s comparison sort or a
+    /// used to survive until `estimate_width`'s comparison sort or a
     /// degenerate day computation instead of failing where the bad
     /// value entered.
     pub fn schedule(&mut self, time: f64, event: E) {

@@ -6,10 +6,10 @@
 //! stable event queue driven with *peek* semantics (the clock never
 //! passes the end of the measurement window), a generational call table
 //! with a per-link teardown index, warm-up-aware counters, and the
-//! [`EngineMetrics`](crate::metrics::EngineMetrics) gauges. This module
-//! owns that machine once; the five historical engines (single-rate
-//! mesh, adaptive estimation, multirate, signaling, cellular borrowing)
-//! instantiate it with two small strategy objects:
+//! [`EngineMetrics`] gauges. This module owns that machine once; the
+//! five historical engines (single-rate mesh, adaptive estimation,
+//! multirate, signaling, cellular borrowing) instantiate it with two
+//! small strategy objects:
 //!
 //! * [`AdmissionPolicy`] — per-link accept/reject given occupancy,
 //!   capacity, and protection level ([`Uncontrolled`] capacity-only
@@ -22,9 +22,11 @@
 //!   [`RouteSelector::observe_arrival`] and the periodic
 //!   [`RouteSelector::tick`]), and private RNG streams.
 //!
-//! Observability is threaded through [`KernelObserver`]: one adapter
-//! maps the hooks onto the simulator's trace sinks and telemetry
-//! recorders, so every policy instantiation gains tracing and telemetry
+//! Observability is threaded through [`KernelObserver`], the only hook
+//! trait of the loop: trace writers implement it directly, a telemetry
+//! [`Recorder`] rides along through the [`Recording`] adapter, and a
+//! pair `(A, B)` of observers is itself an observer that calls `A` then
+//! `B`. Every policy instantiation thus gains tracing and telemetry
 //! without touching the loop. The no-op [`NullObserver`] monomorphizes
 //! to nothing.
 //!
@@ -41,6 +43,7 @@ use crate::metrics::EngineMetrics;
 use crate::queue::{EventQueue, EventSchedule};
 use crate::rng::{RngStream, StreamFactory};
 use crate::timeweighted::TimeWeighted;
+use altroute_telemetry::{ArrivalOutcome, Recorder};
 
 /// A link identifier (index into the kernel's link state).
 pub type Link = usize;
@@ -365,6 +368,14 @@ pub trait KernelObserver {
     fn event_processed(&mut self, now: f64, queue_len: usize) {
         let _ = (now, queue_len);
     }
+
+    /// The run ended at sim time `end` (warm-up plus horizon), after
+    /// `total_wall` seconds of wall clock of which `warmup_wall` were
+    /// spent before the clock crossed the warm-up cut. Called once, after
+    /// every other hook.
+    fn finish(&mut self, end: f64, warmup_wall: f64, total_wall: f64) {
+        let _ = (end, warmup_wall, total_wall);
+    }
 }
 
 /// A [`KernelObserver`] that records nothing (the unobserved fast path).
@@ -372,6 +383,159 @@ pub trait KernelObserver {
 pub struct NullObserver;
 
 impl KernelObserver for NullObserver {}
+
+impl<O: KernelObserver + ?Sized> KernelObserver for &mut O {
+    fn arrival_routed(
+        &mut self,
+        now: f64,
+        tag: u32,
+        tier: Tier,
+        links: &[Link],
+        hold: f64,
+        measured: bool,
+    ) {
+        (**self).arrival_routed(now, tag, tier, links, hold, measured);
+    }
+
+    fn arrival_blocked(&mut self, now: f64, tag: u32, hold: f64, measured: bool) {
+        (**self).arrival_blocked(now, tag, hold, measured);
+    }
+
+    fn occupancy_changed(&mut self, now: f64, link: Link, occupancy: u32) {
+        (**self).occupancy_changed(now, link, occupancy);
+    }
+
+    fn departure(&mut self, now: f64, call: u32, gen: u32, stale: bool) {
+        (**self).departure(now, call, gen, stale);
+    }
+
+    fn teardown(&mut self, now: f64, call: u32, gen: u32, measured: bool) {
+        (**self).teardown(now, call, gen, measured);
+    }
+
+    fn link_change(&mut self, now: f64, link: u32, up: bool) {
+        (**self).link_change(now, link, up);
+    }
+
+    fn event_processed(&mut self, now: f64, queue_len: usize) {
+        (**self).event_processed(now, queue_len);
+    }
+
+    fn finish(&mut self, end: f64, warmup_wall: f64, total_wall: f64) {
+        (**self).finish(end, warmup_wall, total_wall);
+    }
+}
+
+/// Two observers in sequence: every hook reaches `A` first, then `B`.
+/// The order is part of the contract — the flight recorder pairs a ring
+/// writer (`A`) with a recorder whose window hooks freeze that ring
+/// (`B`), so the ring must already hold an event when `B` sees it.
+impl<A: KernelObserver, B: KernelObserver> KernelObserver for (A, B) {
+    fn arrival_routed(
+        &mut self,
+        now: f64,
+        tag: u32,
+        tier: Tier,
+        links: &[Link],
+        hold: f64,
+        measured: bool,
+    ) {
+        self.0.arrival_routed(now, tag, tier, links, hold, measured);
+        self.1.arrival_routed(now, tag, tier, links, hold, measured);
+    }
+
+    fn arrival_blocked(&mut self, now: f64, tag: u32, hold: f64, measured: bool) {
+        self.0.arrival_blocked(now, tag, hold, measured);
+        self.1.arrival_blocked(now, tag, hold, measured);
+    }
+
+    fn occupancy_changed(&mut self, now: f64, link: Link, occupancy: u32) {
+        self.0.occupancy_changed(now, link, occupancy);
+        self.1.occupancy_changed(now, link, occupancy);
+    }
+
+    fn departure(&mut self, now: f64, call: u32, gen: u32, stale: bool) {
+        self.0.departure(now, call, gen, stale);
+        self.1.departure(now, call, gen, stale);
+    }
+
+    fn teardown(&mut self, now: f64, call: u32, gen: u32, measured: bool) {
+        self.0.teardown(now, call, gen, measured);
+        self.1.teardown(now, call, gen, measured);
+    }
+
+    fn link_change(&mut self, now: f64, link: u32, up: bool) {
+        self.0.link_change(now, link, up);
+        self.1.link_change(now, link, up);
+    }
+
+    fn event_processed(&mut self, now: f64, queue_len: usize) {
+        self.0.event_processed(now, queue_len);
+        self.1.event_processed(now, queue_len);
+    }
+
+    fn finish(&mut self, end: f64, warmup_wall: f64, total_wall: f64) {
+        self.0.finish(end, warmup_wall, total_wall);
+        self.1.finish(end, warmup_wall, total_wall);
+    }
+}
+
+/// Feeds the kernel's hooks to a telemetry [`Recorder`] — the one
+/// adapter between the loop and the telemetry plane. At the end of the
+/// run it reports the `seed_warmup` and `seed_measurement` wall-clock
+/// spans, then [`Recorder::finish`]es the recorder, in that order.
+#[derive(Debug)]
+pub struct Recording<'a, R>(pub &'a mut R);
+
+impl<R: Recorder> KernelObserver for Recording<'_, R> {
+    fn arrival_routed(
+        &mut self,
+        now: f64,
+        _tag: u32,
+        tier: Tier,
+        links: &[Link],
+        hold: f64,
+        measured: bool,
+    ) {
+        let outcome = match tier {
+            Tier::Primary => ArrivalOutcome::Primary,
+            Tier::Alternate => ArrivalOutcome::Alternate,
+        };
+        self.0
+            .arrival(now, measured, outcome, links.len() as u8, hold);
+    }
+
+    fn arrival_blocked(&mut self, now: f64, _tag: u32, hold: f64, measured: bool) {
+        self.0
+            .arrival(now, measured, ArrivalOutcome::Blocked, 0, hold);
+    }
+
+    fn occupancy_changed(&mut self, now: f64, link: Link, occupancy: u32) {
+        self.0.occupancy(now, link as u32, occupancy);
+    }
+
+    fn departure(&mut self, now: f64, _call: u32, _gen: u32, stale: bool) {
+        self.0.departure(now, stale);
+    }
+
+    fn teardown(&mut self, now: f64, _call: u32, _gen: u32, measured: bool) {
+        self.0.teardown(now, measured);
+    }
+
+    fn link_change(&mut self, now: f64, link: u32, up: bool) {
+        self.0.link_state(now, link, up);
+    }
+
+    fn event_processed(&mut self, now: f64, queue_len: usize) {
+        self.0.event(now, queue_len);
+    }
+
+    fn finish(&mut self, end: f64, warmup_wall: f64, total_wall: f64) {
+        self.0.span("seed_warmup", warmup_wall);
+        self.0.span("seed_measurement", total_wall - warmup_wall);
+        self.0.finish(end);
+    }
+}
 
 /// One Poisson arrival source (an O–D pair, a (class, pair), a cell).
 #[derive(Debug, Clone, Copy)]
@@ -394,7 +558,7 @@ pub struct ArrivalSource {
 }
 
 /// A scheduled link state change.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkEvent {
     /// When the change happens.
     pub at: f64,
@@ -460,9 +624,10 @@ pub const WARM_START_STREAM: u64 = u64::MAX - 2;
 
 /// Counters and gauges from one kernel replication.
 ///
-/// Equality compares the deterministic fields only: `warmup_wall` (and
-/// the wall clock inside [`EngineMetrics`]) is measured, not simulated.
-#[derive(Debug, Clone)]
+/// Equality compares the deterministic fields only: the wall clock
+/// inside [`EngineMetrics`] is measured, not simulated (the warm-up /
+/// measurement split of it goes to [`KernelObserver::finish`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelOutcome {
     /// Calls offered during the measurement window.
     pub offered: u64,
@@ -480,22 +645,6 @@ pub struct KernelOutcome {
     pub tally_blocked: Vec<u64>,
     /// Engine gauges (wall clock excluded from equality).
     pub metrics: EngineMetrics,
-    /// Wall-clock seconds spent before the sim clock crossed the
-    /// warm-up cut (equal to the total wall time if it never did).
-    pub warmup_wall: f64,
-}
-
-impl PartialEq for KernelOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.offered == other.offered
-            && self.blocked == other.blocked
-            && self.carried_primary == other.carried_primary
-            && self.carried_alternate == other.carried_alternate
-            && self.dropped == other.dropped
-            && self.tally_offered == other.tally_offered
-            && self.tally_blocked == other.tally_blocked
-            && self.metrics == other.metrics
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -705,8 +854,8 @@ impl LinkIndex {
 /// allocator only when a run outgrows every previous one.
 ///
 /// A freshly reset scratch behaves identically to a fresh one — reuse
-/// recycles capacity, never state — so pooled results stay
-/// byte-identical to [`run`].
+/// recycles capacity, never state — so results are byte-identical for
+/// any scratch history.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     queue: CalendarQueue<Event>,
@@ -1047,36 +1196,15 @@ fn seed_link_events<Q: EventSchedule<Event>>(spec: &KernelSpec<'_>, queue: &mut 
 }
 
 /// Runs one replication of the kernel with the given admission policy,
-/// route selector, and observer.
+/// route selector, and observer, recycling `scratch` across calls: all
+/// per-replication state is reset, not reallocated, and the outcome is
+/// byte-identical for any scratch history (see [`KernelScratch`]).
 ///
 /// # Panics
 ///
 /// Panics on inconsistent configuration (negative durations, a source
 /// tally out of range) or if an internal invariant breaks (a selector
 /// returning a path its admission policy rejects at booking time).
-pub fn run<'p, A, R, O>(
-    spec: &KernelSpec<'_>,
-    admission: &mut A,
-    selector: &mut R,
-    observer: &mut O,
-) -> KernelOutcome
-where
-    A: AdmissionPolicy,
-    R: RouteSelector<'p>,
-    O: KernelObserver,
-{
-    run_pooled(
-        spec,
-        admission,
-        selector,
-        observer,
-        &mut KernelScratch::new(),
-    )
-}
-
-/// As [`run`], but recycling `scratch` across calls: all per-replication
-/// state is reset, not reallocated. The outcome is byte-identical to
-/// [`run`] for any scratch history (see [`KernelScratch`]).
 pub fn run_pooled<'p, A, R, O>(
     spec: &KernelSpec<'_>,
     admission: &mut A,
@@ -1100,7 +1228,7 @@ where
     )
 }
 
-/// As [`run`], but on the comparison-based `BinaryHeap`
+/// As [`run_pooled`], but on the comparison-based `BinaryHeap`
 /// [`EventQueue`] instead of the calendar queue — the differential
 /// baseline: both entry points must produce identical outcomes (and
 /// identical observer streams) for every spec, and their wall-clock
@@ -1233,6 +1361,7 @@ where
     // A run whose clock never reached the warm-up cut spent all its
     // wall time warming up.
     let warmup_wall = warmup_wall.unwrap_or(total_wall);
+    observer.finish(end, warmup_wall, total_wall);
     let Counters {
         offered,
         blocked,
@@ -1251,13 +1380,28 @@ where
         tally_offered,
         tally_blocked,
         metrics,
-        warmup_wall,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One replication on a fresh scratch.
+    fn run<'p, A, R, O>(
+        spec: &KernelSpec<'_>,
+        admission: &mut A,
+        selector: &mut R,
+        observer: &mut O,
+    ) -> KernelOutcome
+    where
+        A: AdmissionPolicy,
+        R: RouteSelector<'p>,
+        O: KernelObserver,
+    {
+        let mut scratch = KernelScratch::new();
+        run_pooled(spec, admission, selector, observer, &mut scratch)
+    }
 
     /// A selector that always routes over link 0 while admitted.
     struct OneLink;

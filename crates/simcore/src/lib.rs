@@ -51,7 +51,7 @@ pub mod timeweighted;
 
 pub use calendar::CalendarQueue;
 pub use metrics::EngineMetrics;
-pub use pool::{pool_run, pool_run_with, ProgressObserver};
+pub use pool::{pool_record, pool_run, pool_run_with, ProgressObserver};
 pub use queue::{EventQueue, EventSchedule};
 pub use rng::{RngStream, StreamFactory};
 pub use stats::{BlockingSummary, Replications, RunningStats, WarmupCounter};

@@ -90,6 +90,33 @@ pub fn pool_run_with<S, T: Send>(
     slots.into_iter().map(|s| s.expect("job ran")).collect()
 }
 
+/// As [`pool_run_with`], for observed replications: every job also
+/// gets a fresh recorder from `recorder`, and the results and the
+/// recorders come back as two positional vectors — the recorders ready
+/// for a seed-order merge. With a zero-sized no-op recorder this costs
+/// nothing over [`pool_run_with`], so a simulator's plain and recorded
+/// entry points share one fan-out.
+///
+/// # Panics
+///
+/// As [`pool_run_with`].
+pub fn pool_record<S, R: Send, T: Send>(
+    jobs: usize,
+    workers: usize,
+    progress: Option<&dyn ProgressObserver>,
+    init: impl Fn() -> S + Sync,
+    recorder: impl Fn() -> R + Sync,
+    job: impl Fn(&mut S, usize, &mut R) -> T + Sync,
+) -> (Vec<T>, Vec<R>) {
+    pool_run_with(jobs, workers, progress, init, |scratch, i| {
+        let mut r = recorder();
+        let t = job(scratch, i, &mut r);
+        (t, r)
+    })
+    .into_iter()
+    .unzip()
+}
+
 /// The machine's available parallelism (1 if it cannot be queried) —
 /// the default worker count for replication fan-out.
 pub fn default_workers() -> usize {

@@ -2,12 +2,12 @@
 //!
 //! [`Recorder`] mirrors the engine's observable moments with
 //! primitive-typed callbacks (no graph or plan types, so this crate stays
-//! dependency-free). The engine is generic over the recorder, exactly as
-//! it is over `TraceSink`: [`NullRecorder`] inherits the empty default
-//! bodies and monomorphizes to nothing, keeping the untelemetered path
-//! byte-identical *and* cost-free; [`RunTelemetry`] implements every hook
-//! and doubles, once finished, as the mergeable snapshot the exporters
-//! consume.
+//! dependency-free). The simulation kernel reaches a recorder through one
+//! adapter over its own observer trait, and stays generic over it:
+//! [`NullRecorder`] inherits the empty default bodies and monomorphizes
+//! to nothing, keeping the untelemetered path byte-identical *and*
+//! cost-free; [`RunTelemetry`] implements every hook and doubles, once
+//! finished, as the mergeable snapshot the exporters consume.
 
 use crate::hist::Histogram;
 use crate::mode::{self, ModeReport, ModeThresholds};
@@ -275,6 +275,22 @@ impl RunTelemetry {
     pub fn mode_report(&self, thresholds: ModeThresholds) -> ModeReport {
         assert!(self.finished, "mode report requires finished telemetry");
         mode::detect(self.grid, &self.network_utilization_series(), thresholds)
+    }
+
+    /// Folds finished per-replication snapshots into one, in iteration
+    /// order — pass them in seed order for bit-identical `f64`
+    /// aggregates (see [`RunTelemetry::merge`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty, or as [`RunTelemetry::merge`].
+    pub fn merged(parts: impl IntoIterator<Item = RunTelemetry>) -> RunTelemetry {
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().expect("at least one replication");
+        for part in parts {
+            merged.merge(&part);
+        }
+        merged
     }
 
     /// Folds another replication's telemetry into this one. Counters and

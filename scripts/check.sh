@@ -5,7 +5,7 @@
 #
 #   scripts/check.sh [stage ...]
 #
-# Stages: fmt | clippy | test | conformance | telemetry |
+# Stages: fmt | clippy | doc | test | conformance | telemetry |
 # telemetry-overhead | parity | metastability-smoke | largemesh-smoke |
 # altrouted-smoke | bench-smoke | perfbench-pins | all (default).
 # Unknown stages fail fast. Run from anywhere; operates on the workspace
@@ -31,6 +31,12 @@ stage_fmt() {
 
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# Docs: every intra-doc link must resolve, so a doc naming a deleted or
+# renamed item fails here instead of rendering as dead text.
+stage_doc() {
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 }
 
 stage_test() {
@@ -342,7 +348,7 @@ if result["correct"] is not True or result["failed"] != 0:
 # the unknown-stage diagnostic, and `all` are all derived from this
 # list, so adding a stage means adding its function and one entry here.
 STAGES=(
-  fmt clippy test conformance telemetry telemetry-overhead parity
+  fmt clippy doc test conformance telemetry telemetry-overhead parity
   metastability-smoke largemesh-smoke altrouted-smoke bench-smoke
   perfbench-pins
 )
@@ -351,6 +357,7 @@ run_stage() {
   case "$1" in
     fmt)         stage_fmt ;;
     clippy)      stage_clippy ;;
+    doc)         stage_doc ;;
     test)        stage_test ;;
     conformance) stage_conformance ;;
     telemetry)   stage_telemetry ;;
