@@ -319,9 +319,10 @@ pub trait RouteSelector<'p> {
     }
 }
 
-/// Observer of the kernel's event stream, called at the same points the
-/// historical engine called its trace sink and telemetry recorder.
-/// The default methods do nothing; [`NullObserver`] monomorphizes away.
+/// Observer of the kernel's event stream — the loop's only hook trait.
+/// Trace writers implement it directly, a telemetry [`Recorder`] rides
+/// along through [`Recording`], and `(A, B)` observes with both. The
+/// default methods do nothing; [`NullObserver`] monomorphizes away.
 pub trait KernelObserver {
     /// An arrival for source `tag` was routed over `links` at `tier`,
     /// about to be booked; `hold` is its drawn holding time.
