@@ -3,10 +3,10 @@
 //! Three fixed scenarios — the paper's Fig. 3 quadrangle, NSFNet, and a
 //! best-of-d `K_6` mesh — run through [`run_replication`] with a
 //! [`BinaryTraceWriter`] as the kernel observer, and the resulting byte
-//! blobs are checked into `crates/conformance/golden/`. [`replay_check`] re-records a
-//! scenario and diffs it against the checked-in bytes: any change to
-//! event ordering, RNG stream layout, or admission logic surfaces as a
-//! divergence at a specific event index.
+//! blobs are checked into `crates/conformance/golden/`.
+//! [`replay_check`] re-records a scenario and diffs it against the
+//! checked-in bytes: any change to event ordering, RNG stream layout, or
+//! admission logic surfaces as a divergence at a specific event index.
 //!
 //! Golden files are regenerated with the `conformance --bless` CLI
 //! subcommand (see [`bless`]) after an *intentional* behaviour change,

@@ -12,12 +12,12 @@
 //!   construction whose overflow stream is *exactly* Poisson (a
 //!   statically failed primary), so the protected link is an exact 1-D
 //!   chain rather than an approximation.
-//! * [`golden`] — **golden-trace replay**: fixed NSFNet and quadrangle
-//!   scenarios are recorded through the kernel's observer hooks by a
-//!   [`BinaryTraceWriter`](altroute_sim::trace::BinaryTraceWriter) into a
-//!   versioned binary format and checked into the repository. Any change to event
-//!   ordering, RNG stream layout, or admission logic diverges from the
-//!   golden bytes at a specific event index.
+//! * [`golden`] — **golden-trace replay**: fixed NSFNet, quadrangle and
+//!   `K_6` scenarios are recorded through the kernel's observer hooks by
+//!   a [`BinaryTraceWriter`](altroute_sim::trace::BinaryTraceWriter) into
+//!   a versioned binary format and checked into the repository. Any
+//!   change to event ordering, RNG stream layout, or admission logic
+//!   diverges from the golden bytes at a specific event index.
 //! * [`fuzz`] — **scenario fuzzing**: random instances from
 //!   [`altroute_netgraph::topologies::random_instance`] are cross-checked
 //!   against metamorphic invariants (conservation per O–D pair, `r = 0`
