@@ -31,6 +31,12 @@ pub const FEED_VERSION: &str = "v1";
 /// The magic first token of a feed header line.
 pub const FEED_MAGIC: &str = "altroute-feed";
 
+/// How many windows a [`LoadEstimator`] can count (`2⁵²`): window
+/// boundaries `k·width` stay exact and distinct below it. A record at or
+/// past `MAX_WINDOWS · width` lies outside the estimator's range
+/// ([`LoadEstimator::covers`]).
+pub const MAX_WINDOWS: f64 = 4_503_599_627_370_496.0;
+
 /// The feed's opening declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeedHeader {
@@ -115,13 +121,51 @@ fn parse_node(s: &str) -> Result<usize, FeedParseError> {
 /// Classifies one feed line. Pure per-line: stream-level invariants
 /// (header first, times non-decreasing, node ids in range) are the
 /// consumer's to enforce.
+///
+/// Fields are separated by Unicode whitespace, as with
+/// [`str::split_whitespace`]. An all-ASCII line — every line a
+/// conforming producer writes — is split byte by byte instead
+/// (`AsciiFields`), which yields the same fields.
 pub fn parse_line(line: &str) -> Result<FeedLine, FeedParseError> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(FeedLine::Blank);
+    if line.is_ascii() {
+        classify(AsciiFields { rest: line })
+    } else {
+        classify(line.split_whitespace())
     }
-    let mut fields = trimmed.split_whitespace();
-    let tag = fields.next().expect("non-empty after trim");
+}
+
+/// The whitespace-separated fields of an all-ASCII line: the
+/// [`str::split_whitespace`] fields, found byte by byte. The separators
+/// are the six ASCII characters [`char::is_whitespace`] accepts — space,
+/// `\t`, `\n`, `\x0B`, `\x0C` and `\r` — which is not
+/// [`u8::is_ascii_whitespace`]'s set: that one omits `\x0B`.
+struct AsciiFields<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for AsciiFields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let is_space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
+        let bytes = self.rest.as_bytes();
+        let start = bytes.iter().position(|b| !is_space(b))?;
+        let end = bytes[start..]
+            .iter()
+            .position(is_space)
+            .map_or(bytes.len(), |len| start + len);
+        let field = &self.rest[start..end];
+        self.rest = &self.rest[end..];
+        Some(field)
+    }
+}
+
+/// Classifies one line from its fields (see [`parse_line`]).
+fn classify<'a>(mut fields: impl Iterator<Item = &'a str>) -> Result<FeedLine, FeedParseError> {
+    let tag = match fields.next() {
+        Some(tag) if !tag.starts_with('#') => tag,
+        _ => return Ok(FeedLine::Blank),
+    };
     let line = match tag {
         FEED_MAGIC => {
             let version = fields.next().ok_or_else(|| bad("header missing version"))?;
@@ -183,6 +227,9 @@ pub struct LoadEstimator {
     rates: Vec<f64>,
     windows_completed: u64,
     last_time: f64,
+    /// Whether the last fold was of an empty window and left every rate
+    /// bit-identical, with no arrival counted since.
+    settled: bool,
 }
 
 impl LoadEstimator {
@@ -209,6 +256,7 @@ impl LoadEstimator {
             rates: vec![0.0; pairs],
             windows_completed: 0,
             last_time: 0.0,
+            settled: false,
         }
     }
 
@@ -232,6 +280,23 @@ impl LoadEstimator {
     /// freshness.
     pub fn last_time(&self) -> f64 {
         self.last_time
+    }
+
+    /// Whether time `t` lies inside the range of windows the estimator
+    /// can count (`t / width < MAX_WINDOWS`).
+    pub fn covers(&self, t: f64) -> bool {
+        t / self.grid.width() < MAX_WINDOWS
+    }
+
+    /// Whether the last [`close_window`] folded an empty window without
+    /// changing any rate by a bit, and no arrival has been counted since.
+    /// Every later empty window then folds to the same rates too, which
+    /// is what lets [`skip_settled_windows`] close them all at once.
+    ///
+    /// [`close_window`]: Self::close_window
+    /// [`skip_settled_windows`]: Self::skip_settled_windows
+    pub fn settled(&self) -> bool {
+        self.settled
     }
 
     /// End time of the currently-accumulating window.
@@ -265,14 +330,50 @@ impl LoadEstimator {
     pub fn close_window(&mut self) -> f64 {
         let end = self.current_window_end();
         let width = self.grid.width();
+        let mut settled = true;
         for (rate, count) in self.rates.iter_mut().zip(&mut self.counts) {
             let observed = *count as f64 / width;
-            *rate += self.alpha * (observed - *rate);
+            let folded = *rate + self.alpha * (observed - *rate);
+            settled &= *count == 0 && folded.to_bits() == rate.to_bits();
+            *rate = folded;
             *count = 0;
         }
+        self.settled = settled;
         self.window += 1;
         self.windows_completed += 1;
         end
+    }
+
+    /// Closes, in one step, every window that time `t` has passed — the
+    /// windows [`pending_boundary`] would report one by one — and returns
+    /// how many. Valid only while [`settled`]: each of those windows is
+    /// empty and its fold would leave the rates as they are, so skipping
+    /// the folds changes nothing but the window count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the estimator is [`settled`] and [`covers`] `t`.
+    ///
+    /// [`pending_boundary`]: Self::pending_boundary
+    /// [`settled`]: Self::settled
+    /// [`covers`]: Self::covers
+    pub fn skip_settled_windows(&mut self, t: f64) -> u64 {
+        assert!(self.settled, "only settled windows can be skipped");
+        assert!(self.covers(t), "time {t} is past the window range");
+        let width = self.grid.width();
+        // `pending_boundary`'s test for window `w`; monotone in `w`.
+        let passed = |w: usize| t >= width * (w as f64 + 1.0);
+        let mut next = ((t / width) as usize).max(self.window);
+        while passed(next) {
+            next += 1;
+        }
+        while next > self.window && !passed(next - 1) {
+            next -= 1;
+        }
+        let skipped = (next - self.window) as u64;
+        self.window = next;
+        self.windows_completed += skipped;
+        skipped
     }
 
     /// Folds one *externally counted* window: replaces the current
@@ -316,6 +417,7 @@ impl LoadEstimator {
             self.window
         );
         self.counts[pair] += 1;
+        self.settled = false;
         self.last_time = t;
     }
 
@@ -415,6 +517,33 @@ mod tests {
 
         assert_eq!(by_record.rates(), by_fold.rates());
         assert_eq!(by_record.windows_completed(), by_fold.windows_completed());
+    }
+
+    #[test]
+    fn skipping_settled_windows_matches_closing_them() {
+        let mut est = LoadEstimator::new(2, 0.5, 1.0);
+        est.record(0.1, 1);
+        est.close_window();
+        assert!(!est.settled(), "a window with arrivals moves the rates");
+        est.close_window();
+        assert!(!est.settled(), "an empty window drains the rates");
+        est.close_window();
+        assert!(est.settled(), "an empty window after a drained one");
+        let mut stepped = est.clone();
+        for t in [1.5, 2.0, 2.2, 3.75, 10_000.25] {
+            let mut closed = 0;
+            while stepped.pending_boundary(t).is_some() {
+                stepped.close_window();
+                closed += 1;
+            }
+            assert_eq!(est.skip_settled_windows(t), closed, "t={t}");
+            assert_eq!(est.windows_completed(), stepped.windows_completed());
+            assert_eq!(est.current_window_end(), stepped.current_window_end());
+            assert_eq!(est.rates(), stepped.rates());
+        }
+        est.record(10_000.3, 0);
+        assert!(!est.settled(), "an arrival unsettles the estimator");
+        assert!(est.covers(1e15) && !est.covers(1e300));
     }
 
     #[test]

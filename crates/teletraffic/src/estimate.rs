@@ -34,12 +34,26 @@ pub fn offered_link_loads(
     offered: &[f64],
     num_links: usize,
 ) -> Vec<f64> {
+    let mut loads = vec![0.0; num_links];
+    offered_link_loads_into(pair_links, offered, &mut loads);
+    loads
+}
+
+/// [`offered_link_loads`] into a caller-owned buffer, one entry per link
+/// (`loads.len()` is the link count), so a controller re-solving every
+/// window reuses one allocation. Overwrites every entry.
+///
+/// # Panics
+///
+/// As [`offered_link_loads`].
+pub fn offered_link_loads_into(pair_links: &[Vec<usize>], offered: &[f64], loads: &mut [f64]) {
     assert_eq!(
         pair_links.len(),
         offered.len(),
         "one offered-load estimate per pair"
     );
-    let mut loads = vec![0.0; num_links];
+    let num_links = loads.len();
+    loads.fill(0.0);
     for (links, &a) in pair_links.iter().zip(offered) {
         assert!(
             a >= 0.0 && a.is_finite(),
@@ -50,7 +64,6 @@ pub fn offered_link_loads(
             loads[k] += a;
         }
     }
-    loads
 }
 
 /// Re-solves Eq. 15 for every link: `levels[k] = r^k(loads[k],

@@ -14,12 +14,24 @@
 //! Smallest, because larger `r` needlessly suppresses alternate routing at
 //! low loads, where it is most valuable.
 //!
-//! The ratio is evaluated in log space via
-//! [`crate::erlang::inverse_erlang_b_log_table`] so that extremely small
+//! The ratio is defined by the log-space table
+//! [`crate::erlang::inverse_erlang_b_log_table`], so that extremely small
 //! blocking probabilities (lightly loaded links) cannot underflow the
-//! comparison.
+//! comparison. [`protection_level`] reaches the same level without a
+//! transcendental per state: it runs the recurrence in the linear domain
+//! and certifies each comparison against the log-table's rounding, falling
+//! back to the table only when a comparison is too close to call.
 
 use crate::erlang::inverse_erlang_b_log_table;
+
+/// Largest `1/B` the linear-domain search carries; a link whose `y_C`
+/// passes it (a lightly loaded large link) is solved by the log table.
+const LINEAR_CEILING: f64 = 1e300;
+
+/// States the linear-domain search keeps on the stack; larger links put
+/// their `y` table on the heap. Allocating the table on the heap every
+/// time doubled the cost of a `C = 20` solve (42 → 92 ns).
+const STACK_STATES: usize = 128;
 
 /// Smallest state-protection level `r` such that
 /// `B(load, capacity) / B(load, capacity − r) ≤ 1/max_alternate_hops`
@@ -32,6 +44,50 @@ use crate::erlang::inverse_erlang_b_log_table;
 ///
 /// A zero `load` yields `r = 0`: a link carrying no primary traffic loses
 /// nothing by accepting alternate calls.
+///
+/// # Certified linear-domain search
+///
+/// The level is defined by a binary search over the log table
+/// `ln y_k = ln(1/B(load, k))`: `r` passes when
+/// `ln y_{C−r} ≤ ln y_C − ln H`, and `r = C` is returned at once when
+/// `ln y_C < ln H`. Each table step costs an `exp` and an `ln`. This
+/// function instead runs Jagerman's recurrence `y_k = 1 + (k/Λ)·y_{k−1}`
+/// in the linear domain and makes the same probes, in the same order, as
+/// `y_{C−r}·H ≤ y_C`. It returns the table search's level bit for bit:
+///
+/// - The `r = C` exit is the probe `y_0·H = H ≤ y_C`, negated.
+/// - The `r = 0` probe compares `H·y_C` with `y_C` in both domains; for
+///   `y_C < 1e300` it is exactly `H == 1` in both.
+/// - Every other probe is decided only outside a rounding margin `m`:
+///   it passes if `fl(y_{C−r}·H) ≤ fl(y_C·(1−m))` and fails if
+///   `fl(y_{C−r}·H) ≥ fl(y_C·(1+m))`.
+///
+/// A probe inside the margin, a `y_C` at or past `1e300`, or a load above
+/// `1e300` hands the whole link to the table search.
+///
+/// **Rounding margin.** With unit roundoff `u = 2⁻⁵³`, and `exp`/`ln`
+/// within 1 ulp (`2u` relative), to first order:
+/// - *Linear.* A step carries four roundings: `1/Λ`, `k·(1/Λ)`, the
+///   product and the sum. All terms are positive, so errors neither cancel nor
+///   grow, and `y_k` is within `4ku` (relative). A probe's computed
+///   `ln(H·y_{C−r}/y_C)` is thus within `(8C+1)u` of the exact value.
+/// - *Log table.* A step maps `L ↦ L + ln(k/Λ + e^{−L})`, whose
+///   derivative lies in `[0, 1]`, so inherited errors do not grow. Each
+///   step adds `4u` through the argument of `ln`, `2u·|ln z_k|` from
+///   `ln` itself and `u·L_k` from the sum. Here `L_k ≤ L_C < 691` because
+///   `y_C < 1e300`. Also `|ln z_k| ≤ L_C`, because `1/y_{k−1} ≤ z_k ≤
+///   1 + C/Λ ≤ y_C`. So each entry is within `2078·C·u`, and a probe,
+///   which compares two entries after subtracting `ln H` (at most
+///   `45u` for a `u32` `H`, plus `691u` for the subtraction), is within
+///   `(4156C + 736)u` of the exact log-ratio.
+///
+/// The margin `m = 2⁻³⁸(C+1) = 32768(C+1)u` exceeds the sum of both
+/// errors, `(4164C + 737)u`, plus the `2u` of the cuts, more than sixfold.
+/// The slack covers second-order terms and `exp`/`ln` errors of several
+/// ulps. So a probe decided outside the margin has an exact log-ratio
+/// farther from 0 than either search's error, and both searches take the
+/// same branch. Loads up to `1e300` keep every `k/Λ` a normal number,
+/// so no step underflows.
 ///
 /// # Panics
 ///
@@ -58,20 +114,82 @@ pub fn protection_level(load: f64, capacity: u32, max_alternate_hops: u32) -> u3
     if load == 0.0 {
         return 0;
     }
+    linear_level(load, capacity, max_alternate_hops)
+        .unwrap_or_else(|| log_table_level(load, capacity, max_alternate_hops))
+}
+
+/// [`protection_level`]'s certified linear-domain search; `None` when a
+/// probe lands inside the rounding margin or `y` leaves its range.
+fn linear_level(load: f64, capacity: u32, max_alternate_hops: u32) -> Option<u32> {
+    if load > LINEAR_CEILING {
+        return None;
+    }
+    let c = capacity as usize;
+    let mut stack = [0.0; STACK_STATES];
+    let mut heap = Vec::new();
+    let y: &mut [f64] = if c < STACK_STATES {
+        &mut stack[..=c]
+    } else {
+        heap.resize(c + 1, 0.0);
+        &mut heap
+    };
+    let inv_load = 1.0 / load;
+    let mut y_k = 1.0_f64;
+    y[0] = y_k;
+    for (k, slot) in y.iter_mut().enumerate().skip(1) {
+        y_k = 1.0 + k as f64 * inv_load * y_k;
+        *slot = y_k;
+    }
+    if y_k >= LINEAR_CEILING {
+        return None;
+    }
+    let h = f64::from(max_alternate_hops);
+    let margin = f64::EPSILON * 16384.0 * (f64::from(capacity) + 1.0);
+    let (pass_below, fail_above) = (y_k * (1.0 - margin), y_k * (1.0 + margin));
+    // Whether level `r` satisfies Eq. 15; `None` when too close to call.
+    let passes = |r: u32| -> Option<bool> {
+        if r == 0 {
+            return Some(max_alternate_hops == 1);
+        }
+        let lhs = y[c - r as usize] * h;
+        if lhs <= pass_below {
+            Some(true)
+        } else if lhs >= fail_above {
+            Some(false)
+        } else {
+            None
+        }
+    };
+    if !passes(capacity)? {
+        return Some(capacity);
+    }
+    let (mut lo, mut hi) = (0u32, capacity);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid)? {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(lo)
+}
+
+/// The log-table search that defines [`protection_level`], and its
+/// fallback.
+fn log_table_level(load: f64, capacity: u32, max_alternate_hops: u32) -> u32 {
     let log_y = inverse_erlang_b_log_table(load, capacity);
     let log_h = f64::from(max_alternate_hops).ln();
     // Ratio B(Λ,C)/B(Λ,C−r) = y_{C−r}/y_C; require ln y_{C−r} ≤ ln y_C − ln H.
     let target = log_y[capacity as usize] - log_h;
-    // ln y is non-decreasing in the state index, so the smallest r is found
-    // by scanning down from r = 0; binary search also applies.
-    let (mut lo, mut hi) = (0u32, capacity);
-    // Invariant: r = hi always satisfies (y_0 = 1, ln y_0 = 0 <= target
-    // unless target < 0, handled below).
     if log_y[capacity as usize] < log_h {
         // Even full protection cannot satisfy Eq. 15 (B(Λ,C) > 1/H alone):
         // the paper's convention is to protect the whole link.
         return capacity;
     }
+    // ln y is non-decreasing in the state index, so the smallest r is
+    // found by binary search; r = capacity always satisfies (ln y_0 = 0).
+    let (mut lo, mut hi) = (0u32, capacity);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if log_y[(capacity - mid) as usize] <= target {

@@ -194,3 +194,112 @@ proptest! {
         }
     }
 }
+
+/// The log-table search that defines [`protection_level`]: the level
+/// `protection_level` must reproduce bit for bit, kept here as the oracle
+/// of its certified linear-domain search.
+fn log_table_level(load: f64, capacity: u32, h: u32) -> u32 {
+    if load == 0.0 {
+        return 0;
+    }
+    let log_y = inverse_erlang_b_log_table(load, capacity);
+    let log_h = f64::from(h).ln();
+    let target = log_y[capacity as usize] - log_h;
+    if log_y[capacity as usize] < log_h {
+        return capacity;
+    }
+    let (mut lo, mut hi) = (0u32, capacity);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if log_y[(capacity - mid) as usize] <= target {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The hop bounds the differential tests sweep (1 is the degenerate
+/// `r = 0` case, 2–11 the paper's, 20 a long-path design).
+const DIFFERENTIAL_HOPS: [u32; 6] = [1, 2, 3, 6, 11, 20];
+
+/// A seeded uniform draw in `[0, 1)` (splitmix64).
+fn unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+#[test]
+fn protection_level_matches_log_table_on_random_loads() {
+    let mut state = 15;
+    for c in 1..=2000u32 {
+        let cf = f64::from(c);
+        // Light, near-capacity and overloaded links, plus one load drawn
+        // over twelve decades.
+        let loads = [
+            unit(&mut state) * cf,
+            cf * (0.8 + 0.4 * unit(&mut state)),
+            cf * (1.0 + 3.0 * unit(&mut state)),
+            10f64.powf(12.0 * unit(&mut state) - 6.0),
+        ];
+        for load in loads {
+            for h in DIFFERENTIAL_HOPS {
+                assert_eq!(
+                    protection_level(load, c, h),
+                    log_table_level(load, c, h),
+                    "load={load:e} C={c} H={h}"
+                );
+            }
+        }
+    }
+}
+
+/// The adjacent floats `(below, above)` between which the oracle level
+/// first reaches `r`, by bisection on the bit patterns of positive loads
+/// (ordered like the loads themselves).
+fn threshold(capacity: u32, h: u32, r: u32) -> (f64, f64) {
+    let (mut lo, mut hi) = (1e-300f64.to_bits(), 1e300f64.to_bits());
+    assert!(log_table_level(f64::from_bits(lo), capacity, h) < r);
+    assert!(log_table_level(f64::from_bits(hi), capacity, h) >= r);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if log_table_level(f64::from_bits(mid), capacity, h) < r {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (f64::from_bits(lo), f64::from_bits(hi))
+}
+
+/// Loads one float apart on either side of every level threshold: where
+/// the exact ratio sits on `1/H`, and the two searches' roundings differ.
+/// Only a sufficient rounding margin keeps the linear search on the
+/// log table's side of each of them.
+#[test]
+fn protection_level_matches_log_table_at_every_threshold() {
+    let mut thresholds = 0;
+    for c in [2u32, 3, 5, 8, 13, 20, 34, 55, 100, 400, 2000] {
+        // Every threshold up to C = 100; a spread of them beyond.
+        let step = (c / 100).max(1) * if c > 100 { 25 } else { 1 };
+        for h in DIFFERENTIAL_HOPS.into_iter().filter(|&h| h > 1) {
+            // Any positive load needs r >= 1, so thresholds start at 2.
+            for r in (2..=c).step_by(step as usize).chain([c]).filter(|&r| r > 1) {
+                let (below, above) = threshold(c, h, r);
+                for load in [below.next_down(), below, above, above.next_up()] {
+                    assert_eq!(
+                        protection_level(load, c, h),
+                        log_table_level(load, c, h),
+                        "load={load:e} C={c} H={h} (threshold r={r})"
+                    );
+                }
+                thresholds += 1;
+            }
+        }
+    }
+    assert!(thresholds > 1000, "{thresholds} thresholds checked");
+}

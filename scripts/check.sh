@@ -289,7 +289,16 @@ stage_altrouted_smoke() {
   grep -q '^altroute_ctl_updates_total 5$' "$tmpdir/live.metrics"
   grep -q '^altroute_ctl_level{link="0"} ' "$tmpdir/live.metrics"
 
-  # Leg 4: the closed-loop drifting demo — online recomputation escapes
+  # Leg 4: a hostile far-future record must not wedge the daemon. The
+  # jump to t = 1e12 passes 5e11 idle windows; once the estimate has
+  # drained and a re-solve changed nothing they close in one step, with
+  # the window and re-solve counts that folding them one by one gives.
+  printf 'altroute-feed v1 nodes=4\na 0.5 0 1\na 0.7 1 2\na 1e12 0 1\nend 1e12\n' \
+    | timeout 20 "$daemon" --config "$fixtures/ramp-config.json" > "$tmpdir/hostile.levels"
+  grep -q '^done lines=5 arrivals=3 .* windows=500000000000 solves=500000000000 updates=2 ended=true$' \
+    "$tmpdir/hostile.levels"
+
+  # Leg 5: the closed-loop drifting demo — online recomputation escapes
   # the saturated start that static r=0 mishandles, reproducibly.
   "$cli" controlled --metrics-json > "$tmpdir/controlled.a"
   "$cli" controlled --metrics-json > "$tmpdir/controlled.b"
